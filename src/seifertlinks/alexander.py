@@ -17,7 +17,6 @@ from .link_model import (
     HopfSum,
     OneCore,
     SeifertLink,
-    TwoCore,
     ZeroCore,
     components,
     normalize,

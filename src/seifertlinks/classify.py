@@ -154,10 +154,9 @@ def in_P(link: SeifertLink) -> bool:
     return link.w == link.k and link.sign1 == 1 and link.sign2 == 1
 
 
-def is_braid_positive(link: SeifertLink) -> bool:
-    """Closure of a positive braid word; equivalent to membership in the
-    positively oriented class for this family."""
-    return in_P(link)
+# Closure of a positive braid word: for this family that is exactly
+# membership in the positively oriented class.
+is_braid_positive = in_P
 
 
 def is_sqp(link: SeifertLink) -> bool:

@@ -8,39 +8,35 @@ names), 3 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import tables
 from .alexander import delta, determinant
 from .classify import (
-    ClassificationReport,
+    DynkinType,
     Known,
+    StrictlyLessThanGenus,
     classification_report,
 )
 from .cover import (
     Catalog,
     CoverSpec,
-    Evidence,
     FinitePi1,
-    Inconclusive,
-    JNData,
     LO,
     NoCTF_SeifertObstruction,
     PSL2R_Rep,
     PositiveBetti,
-    SeifertInvariants,
-    StarStatus,
     canonical_star_status,
-    canonical_weights,
     general_psi_lo,
     jn_data,
     jn_lo_sufficient,
     nlo_seifert_invariants,
 )
-from .errors import LinkInputError, LinkSyntaxError, NotInCatalog
+from .errors import InvalidParameters, LinkInputError, LinkSyntaxError
 from .laurent import LaurentPoly
 from .link_model import (
     HopfSum,
@@ -55,12 +51,11 @@ from .link_model import (
     render,
 )
 from .orbifold import (
+    ConeOrbifold,
     FiniteGroupTag,
     b_bar,
-    base_orbifold_sigma_n,
     fibre_data,
     finite_group,
-    pi1_sigma_n_finite,
 )
 
 _CLASSIFY_CITATIONS = (
@@ -118,15 +113,11 @@ class _Scanner:
         return int(self.text[start : self.pos])
 
     def sign(self) -> int:
-        self.skip_ws()
-        ch = self.text[self.pos] if self.pos < len(self.text) else ""
-        if ch == "+":
-            self.pos += 1
-            return 1
-        if ch == "-":
-            self.pos += 1
-            return -1
-        raise LinkSyntaxError("expected '+' or '-'", self.pos)
+        ch = self.peek()
+        if ch not in ("+", "-"):
+            raise LinkSyntaxError("expected '+' or '-'", self.pos)
+        self.pos += 1
+        return 1 if ch == "+" else -1
 
     def end(self) -> None:
         self.skip_ws()
@@ -189,261 +180,236 @@ def parse_link(text: str) -> SeifertLink:
     raise LinkSyntaxError("expected link notation", scanner.pos)
 
 
-# -- JSON helpers --------------------------------------------------------------
+# -- records -------------------------------------------------------------------
+#
+# Each command builds one record: ordered rows of (JSON key, JSON value,
+# text label, text value).  A row without a key is printed only as text,
+# a row without a label only in JSON; both formats keep the row order.
 
 
-def _fraction_json(value: Fraction) -> dict[str, int]:
-    return {"num": value.numerator, "den": value.denominator}
+class Row(NamedTuple):
+    key: Optional[str]
+    value: Any
+    label: Optional[str] = None
+    text: Optional[str] = None  # when None, the text form of the value
 
 
-def _poly_json(poly: LaurentPoly) -> list[dict[str, int]]:
-    return [{"exp": e, "coef": c} for e, c in poly.terms]
+_KINDS = {
+    Known: "known",
+    StrictlyLessThanGenus: "strictly_less_than_genus",
+    FinitePi1: "finite_pi1",
+    NoCTF_SeifertObstruction: "no_ctf_seifert_obstruction",
+    PositiveBetti: "positive_betti",
+    PSL2R_Rep: "psl2r_rep",
+    Catalog: "catalog",
+}
 
 
-def _group_json(group: FiniteGroupTag) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "label": group.label,
-        "order": group.group_order,
-        "h1_order": group.h1_order,
-    }
-    return out
-
-
-def _jn_json(data: JNData) -> dict[str, Any]:
-    return {
-        "thetas": [_fraction_json(t) for t in data.thetas],
-        "sigma": _fraction_json(data.sigma),
-        "r": data.r,
-    }
-
-
-def _invariants_json(inv: SeifertInvariants) -> dict[str, Any]:
-    return {
-        "e0": inv.e0,
-        "coefficients": [_fraction_json(c) for c in inv.coefficients],
-    }
-
-
-def _evidence_json(evidence: Evidence) -> dict[str, Any]:
-    if isinstance(evidence, FinitePi1):
-        return {"kind": "finite_pi1", "group": _group_json(evidence.group)}
-    if isinstance(evidence, NoCTF_SeifertObstruction):
+def _encode(value: Any) -> Any:
+    """JSON form of a package value; `json.dumps` calls this for every
+    object it cannot encode itself, nested ones included."""
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    if isinstance(value, LaurentPoly):
+        return [{"exp": e, "coef": c} for e, c in value.terms]
+    if isinstance(value, ConeOrbifold):
         return {
-            "kind": "no_ctf_seifert_obstruction",
-            "invariants": _invariants_json(evidence.invariants),
+            "cone_orders": value.cone_orders,
+            "chi": value.chi,
+            "geometry": value.geometry,
         }
-    if isinstance(evidence, PositiveBetti):
-        return {"kind": "positive_betti", "n": evidence.n}
-    if isinstance(evidence, PSL2R_Rep):
-        return {"kind": "psl2r_rep", "data": _jn_json(evidence.data)}
-    return {"kind": "catalog", "note": evidence.note}
+    if isinstance(value, FiniteGroupTag):
+        return {
+            "label": value.label,
+            "order": value.group_order,
+            "h1_order": value.h1_order,
+        }
+    if isinstance(value, SeifertLink):
+        return render(value)
+    if isinstance(value, DynkinType):
+        return str(value)
+    fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    kind = _KINDS.get(type(value))
+    return fields if kind is None else {"kind": kind, **fields}
 
 
-def _evidence_text(evidence: Evidence) -> str:
-    if isinstance(evidence, FinitePi1):
-        return f"finite fundamental group {evidence.group.label}"
-    if isinstance(evidence, NoCTF_SeifertObstruction):
+def _text(value: Any) -> str:
+    """Text form of a row value."""
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, SeifertLink):
+        return render(value)
+    if isinstance(value, Known):
+        return str(value.value)
+    if isinstance(value, StrictlyLessThanGenus):
+        return "strictly less than the genus"
+    if isinstance(value, FiniteGroupTag):
+        return value.label
+    if isinstance(value, FinitePi1):
+        return f"finite fundamental group {value.group.label}"
+    if isinstance(value, NoCTF_SeifertObstruction):
         return (
             "no co-oriented taut foliation; Seifert invariants "
-            f"{evidence.invariants.render()}"
+            f"{value.invariants.render()}"
         )
-    if isinstance(evidence, PositiveBetti):
-        return f"positive first Betti number at level {evidence.n}"
-    if isinstance(evidence, PSL2R_Rep):
-        data = evidence.data
+    if isinstance(value, PositiveBetti):
+        return f"positive first Betti number at level {value.n}"
+    if isinstance(value, PSL2R_Rep):
         return (
-            f"PSL(2,R) representation witness (sigma = {data.sigma}, "
-            f"r = {data.r})"
+            f"PSL(2,R) representation witness (sigma = {value.data.sigma}, "
+            f"r = {value.data.r})"
         )
-    return evidence.note
-
-
-def _fraction_text(value: Fraction) -> str:
+    if isinstance(value, Catalog):
+        return value.note
     return str(value)
+
+
+def _json_object(record: list[Row]) -> dict[str, Any]:
+    return {row.key: row.value for row in record if row.key is not None}
+
+
+def _text_cells(record: list[Row]) -> list[tuple[str, str]]:
+    return [
+        (row.label, _text(row.value) if row.text is None else row.text)
+        for row in record
+        if row.label is not None
+    ]
+
+
+def _emit(record: list[Row], as_json: bool) -> int:
+    if as_json:
+        print(json.dumps(_json_object(record), indent=2, default=_encode))
+        return 0
+    cells = _text_cells(record)
+    width = max(len(label) for label, _ in cells)
+    for label, text in cells:
+        print(label.ljust(width) + "  " + text)
+    return 0
+
+
+def _link_rows(
+    text: str, link: SeifertLink, alias_text: bool = True
+) -> list[Row]:
+    found = alias(link)
+    name = found.name if found else None
+    return [
+        Row("link", text, "link", text.strip()),
+        Row("normalized", render(link), "normalized"),
+        Row("alias", name, "alias" if alias_text else None),
+    ]
 
 
 # -- classify ------------------------------------------------------------------
 
 
-def _g4_json(report: ClassificationReport) -> dict[str, Any]:
-    if isinstance(report.g4, Known):
-        return {"kind": "known", "value": report.g4.value}
-    return {"kind": "strictly_less_than_genus"}
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
     link = normalize(parse_link(args.link))
     report = classification_report(link)
-    poly = delta(link)
-    found = alias(link)
-    if args.json:
-        payload: dict[str, Any] = {
-            "link": args.link,
-            "normalized": render(link),
-            "alias": found.name if found else None,
-            "components": components(link),
-            "is_prime": report.is_prime,
-            "is_fibred": report.is_fibred,
-            "in_P": report.in_P,
-            "is_braid_positive": report.is_braid_positive,
-            "is_sqp": report.is_sqp,
-            "is_genus_zero": report.is_genus_zero,
-            "g4_equals_g": report.g4_equals_g,
-            "genus": report.genus,
-            "g4": _g4_json(report),
-            "is_definite": report.is_definite,
-            "dynkin": str(report.dynkin) if report.dynkin else None,
-            "ade_up_to_orientation": report.ade_up_to_orientation,
-            "alexander": _poly_json(poly),
-            "determinant": determinant(link),
-            "citations": list(_CLASSIFY_CITATIONS),
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-
-    def flag(value: bool) -> str:
-        return "yes" if value else "no"
-
-    if isinstance(report.g4, Known):
-        g4_text = str(report.g4.value)
-    else:
-        g4_text = "strictly less than the genus"
-    lines = [
-        ("link", args.link.strip()),
-        ("normalized", render(link)),
-        ("alias", found.name if found else "-"),
-        ("components", str(components(link))),
-        ("prime", flag(report.is_prime)),
-        ("fibred", flag(report.is_fibred)),
-        ("braid positive", flag(report.is_braid_positive)),
-        ("strongly quasipositive", flag(report.is_sqp)),
-        ("genus zero", flag(report.is_genus_zero)),
-        ("genus", str(report.genus)),
-        ("four-genus", g4_text),
-        ("definite", flag(report.is_definite)),
-        ("dynkin type", str(report.dynkin) if report.dynkin else "-"),
-        ("ADE up to orientation", flag(report.ade_up_to_orientation)),
-        ("alexander", poly.to_text()),
-        ("determinant", str(determinant(link))),
-    ]
-    width = max(len(name) for name, _ in lines)
-    for name, value in lines:
-        print(f"{name.ljust(width)}  {value}")
-    return 0
+    return _emit(
+        _link_rows(args.link, link)
+        + [
+            Row("components", components(link), "components"),
+            Row("is_prime", report.is_prime, "prime"),
+            Row("is_fibred", report.is_fibred, "fibred"),
+            Row("in_P", report.in_P),
+            Row("is_braid_positive", report.is_braid_positive, "braid positive"),
+            Row("is_sqp", report.is_sqp, "strongly quasipositive"),
+            Row("is_genus_zero", report.is_genus_zero, "genus zero"),
+            Row("g4_equals_g", report.g4_equals_g),
+            Row("genus", report.genus, "genus"),
+            Row("g4", report.g4, "four-genus"),
+            Row("is_definite", report.is_definite, "definite"),
+            Row("dynkin", report.dynkin, "dynkin type"),
+            Row(
+                "ade_up_to_orientation",
+                report.ade_up_to_orientation,
+                "ADE up to orientation",
+            ),
+            Row("alexander", delta(link), "alexander"),
+            Row("determinant", determinant(link), "determinant"),
+            Row("citations", _CLASSIFY_CITATIONS),
+        ],
+        args.json,
+    )
 
 
 # -- cover ---------------------------------------------------------------------
 
 
+def _parse_weights(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(piece) for piece in text.split(","))
+    except ValueError:
+        raise InvalidParameters(
+            f"malformed weights {text!r}: expected comma-separated integers"
+        ) from None
+
+
 def _cmd_cover(args: argparse.Namespace) -> int:
     link = normalize(parse_link(args.link))
     n = args.n
-    found = alias(link)
     if args.weights is not None:
-        weights = tuple(int(x) for x in args.weights.split(","))
+        weights = _parse_weights(args.weights)
         spec = CoverSpec(n, weights)
         data = jn_data(link, spec)
         outcome = general_psi_lo(link, spec)
-        if args.json:
-            payload: dict[str, Any] = {
-                "link": args.link,
-                "normalized": render(link),
-                "alias": found.name if found else None,
-                "n": n,
-                "weights": list(weights),
-                "jn": _jn_json(data),
-                "jn_lo_sufficient": jn_lo_sufficient(data),
-                "outcome": (
-                    "left-orderable"
-                    if isinstance(outcome, LO)
-                    else "inconclusive"
-                ),
-                "evidence": (
-                    _evidence_json(outcome.evidence)
-                    if isinstance(outcome, LO)
-                    else None
-                ),
-                "citations": list(_COVER_CITATIONS),
-            }
-            print(json.dumps(payload, indent=2))
-            return 0
-        print(f"link        {args.link.strip()}")
-        print(f"normalized  {render(link)}")
-        print(f"n           {n}")
-        print(f"weights     {','.join(str(a) for a in weights)}")
-        print(f"thetas      {', '.join(str(t) for t in data.thetas)}")
-        print(f"sigma       {data.sigma}")
-        print(f"r           {data.r}")
-        if isinstance(outcome, LO):
-            print("outcome     left-orderable")
-            print(f"evidence    {_evidence_text(outcome.evidence)}")
-        else:
-            print("outcome     inconclusive")
-        return 0
+        evidence = outcome.evidence if isinstance(outcome, LO) else None
+        verdict = "inconclusive" if evidence is None else "left-orderable"
+        return _emit(
+            _link_rows(args.link, link, alias_text=False)
+            + [
+                Row("n", n, "n"),
+                Row("weights", weights, "weights", ",".join(map(str, weights))),
+                Row("jn", data),
+                Row(None, None, "thetas", ", ".join(map(str, data.thetas))),
+                Row(None, data.sigma, "sigma"),
+                Row(None, data.r, "r"),
+                Row("jn_lo_sufficient", jn_lo_sufficient(data)),
+                Row("outcome", verdict, "outcome"),
+                Row("evidence", evidence, evidence and "evidence"),
+                Row("citations", _COVER_CITATIONS),
+            ],
+            args.json,
+        )
 
     base = b_bar(link, n)
     fibre = fibre_data(link, n)
-    total_chi, base_if_unwrapped = base_orbifold_sigma_n(link, n)
-    finite = pi1_sigma_n_finite(link, n)
     group = finite_group(link, n)
     status = canonical_star_status(link, n)
-    invariants: Optional[SeifertInvariants]
     try:
         invariants = nlo_seifert_invariants(link, n)
-    except (NotInCatalog, LinkInputError):
+    except LinkInputError:
         invariants = None
-    if args.json:
-        payload = {
-            "link": args.link,
-            "normalized": render(link),
-            "alias": found.name if found else None,
-            "n": n,
-            "base_orbifold": {
-                "cone_orders": list(base.cone_orders),
-                "chi": _fraction_json(base.chi),
-                "geometry": base.geometry,
-            },
-            "fibre": {
-                "s": fibre.s,
-                "r": fibre.r,
-                "cover_degree": fibre.cover_degree,
-            },
-            "cover_base_chi": _fraction_json(total_chi),
-            "cover_base_orbifold": (
-                list(base_if_unwrapped.cone_orders)
-                if base_if_unwrapped is not None
-                else None
+    unwrapped_base = base.cone_orders if fibre.r == n else None
+    pi1_text = "infinite" if group is None else f"finite: {group.label}"
+    if group is not None and group.group_order is not None:
+        pi1_text += f", order {group.group_order}"
+    return _emit(
+        _link_rows(args.link, link)
+        + [
+            Row("n", n, "n"),
+            Row("base_orbifold", base, "base orbifold"),
+            Row(None, None, "chi", f"{base.chi}  ({base.geometry})"),
+            Row(
+                "fibre",
+                fibre,
+                "fibre",
+                f"s = {fibre.s}, r = {fibre.r}, "
+                f"cover degree = {fibre.cover_degree}",
             ),
-            "pi1_finite": finite,
-            "finite_group": _group_json(group) if group else None,
-            "verdict": status.verdict,
-            "evidence": _evidence_json(status.evidence),
-            "seifert_invariants": (
-                _invariants_json(invariants) if invariants else None
-            ),
-            "citations": list(_COVER_CITATIONS),
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"link           {args.link.strip()}")
-    print(f"normalized     {render(link)}")
-    print(f"alias          {found.name if found else '-'}")
-    print(f"n              {n}")
-    print(f"base orbifold  {base.render()}")
-    print(f"chi            {base.chi}  ({base.geometry})")
-    print(f"fibre          s = {fibre.s}, r = {fibre.r}, "
-          f"cover degree = {fibre.cover_degree}")
-    if group is not None:
-        order = group.group_order
-        order_text = f", order {order}" if order is not None else ""
-        print(f"pi1            finite: {group.label}{order_text}")
-    else:
-        print("pi1            infinite")
-    print(f"verdict        {status.verdict}")
-    print(f"evidence       {_evidence_text(status.evidence)}")
-    if invariants is not None:
-        print(f"seifert data   {invariants.render()}")
-    return 0
+            Row("cover_base_chi", fibre.cover_degree * base.chi),
+            Row("cover_base_orbifold", unwrapped_base),
+            Row("pi1_finite", group is not None),
+            Row("finite_group", group, "pi1", pi1_text),
+            Row("verdict", status.verdict, "verdict"),
+            Row("evidence", status.evidence, "evidence"),
+            Row("seifert_invariants", invariants, invariants and "seifert data"),
+            Row("citations", _COVER_CITATIONS),
+        ],
+        args.json,
+    )
 
 
 # -- table ---------------------------------------------------------------------
@@ -462,147 +428,77 @@ def _print_columns(header: list[str], rows: list[list[str]]) -> None:
         print(fmt(row))
 
 
-def _table_payload(name: str) -> tuple[list[str], list[list[str]], list[dict]]:
-    rows = tables.build_table(name)
-    if name == "ade-2fold":
-        header = ["type", "link", "alias", "pi1(Sigma_2)", "order", "det"]
-        text_rows = []
-        json_rows = []
-        for row in rows:
-            order = row.group.group_order
-            text_rows.append(
-                [
-                    str(row.dynkin),
-                    render(row.link),
-                    row.alias_name or "-",
-                    row.group.label,
-                    str(order) if order is not None else "-",
-                    str(row.determinant),
-                ]
-            )
-            json_rows.append(
-                {
-                    "dynkin": str(row.dynkin),
-                    "link": render(row.link),
-                    "alias": row.alias_name,
-                    "group": _group_json(row.group),
-                    "determinant": row.determinant,
-                }
-            )
-        return header, text_rows, json_rows
-    if name == "spherical":
-        header = ["n", "family", "base", "reoriented", "type"]
-        text_rows = [
+def _family_cells(row: Any) -> list[Row]:
+    return [
+        Row("n", row.n, "n"),
+        Row("family", row.family, "family"),
+        Row("instances", row.instances),
+        Row("base", row.base.cone_orders, "base", row.base.render()),
+        Row("reoriented", row.reoriented, "reoriented"),
+    ]
+
+
+def _status_cells(row: tables.StatusRow) -> list[Row]:
+    levels = range(row.first_n, row.first_n + len(row.statuses))
+    statuses = list(zip(levels, row.statuses))
+    return [
+        Row("link", row.link, "link"),
+        Row("alias", row.alias_name, "alias"),
+        Row(
+            "statuses",
             [
-                str(row.n),
-                row.family,
-                row.base.render(),
-                render(row.reoriented),
-                str(row.dynkin),
-            ]
-            for row in rows
-        ]
-        json_rows = [
-            {
-                "n": row.n,
-                "family": row.family,
-                "instances": [render(link) for link in row.instances],
-                "base": list(row.base.cone_orders),
-                "reoriented": render(row.reoriented),
-                "dynkin": str(row.dynkin),
-            }
-            for row in rows
-        ]
-        return header, text_rows, json_rows
-    if name == "euclidean":
-        header = ["n", "family", "base", "reoriented", "betti>0"]
-        text_rows = [
-            [
-                str(row.n),
-                row.family,
-                row.base.render(),
-                render(row.reoriented),
-                "yes" if row.betti_positive else "no",
-            ]
-            for row in rows
-        ]
-        json_rows = [
-            {
-                "n": row.n,
-                "family": row.family,
-                "instances": [render(link) for link in row.instances],
-                "base": list(row.base.cone_orders),
-                "reoriented": render(row.reoriented),
-                "betti_positive": row.betti_positive,
-            }
-            for row in rows
-        ]
-        return header, text_rows, json_rows
-    if name == "higher-finite":
-        header = ["link", "alias", "n", "pi1", "order"]
-        text_rows = []
-        json_rows = []
-        for row in rows:
-            order = row.group.group_order
-            text_rows.append(
-                [
-                    render(row.link),
-                    row.alias_name or "-",
-                    str(row.n),
-                    row.group.label,
-                    str(order) if order is not None else "-",
-                ]
-            )
-            json_rows.append(
-                {
-                    "link": render(row.link),
-                    "alias": row.alias_name,
-                    "n": row.n,
-                    "group": _group_json(row.group),
-                }
-            )
-        return header, text_rows, json_rows
-    # canonical-status
-    first = rows[0]
-    levels = list(range(first.first_n, first.first_n + len(first.statuses)))
-    header = ["link", "alias"] + [f"n={n}" for n in levels]
-    text_rows = []
-    json_rows = []
-    for row in rows:
-        cells = ["*" if s.star else "x" for s in row.statuses]
-        text_rows.append([render(row.link), row.alias_name or "-"] + cells)
-        json_rows.append(
-            {
-                "link": render(row.link),
-                "alias": row.alias_name,
-                "statuses": [
-                    {
-                        "n": n,
-                        "verdict": status.verdict,
-                        "evidence": _evidence_json(status.evidence),
-                    }
-                    for n, status in zip(levels, row.statuses)
-                ],
-            }
-        )
-    return header, text_rows, json_rows
+                {"n": n, "verdict": status.verdict, "evidence": status.evidence}
+                for n, status in statuses
+            ],
+        ),
+    ] + [
+        Row(None, None, f"n={n}", "*" if status.star else "x")
+        for n, status in statuses
+    ]
+
+
+# One column spec per table: the record of one row, whose labels are the
+# column headers of the text table.
+_TABLE_COLUMNS: dict[str, Callable[[Any], list[Row]]] = {
+    "ade-2fold": lambda row: [
+        Row("dynkin", row.dynkin, "type"),
+        Row("link", row.link, "link"),
+        Row("alias", row.alias_name, "alias"),
+        Row("group", row.group, "pi1(Sigma_2)"),
+        Row(None, row.group.group_order, "order"),
+        Row("determinant", row.determinant, "det"),
+    ],
+    "spherical": lambda row: _family_cells(row)
+    + [Row("dynkin", row.dynkin, "type")],
+    "euclidean": lambda row: _family_cells(row)
+    + [Row("betti_positive", row.betti_positive, "betti>0")],
+    "higher-finite": lambda row: [
+        Row("link", row.link, "link"),
+        Row("alias", row.alias_name, "alias"),
+        Row("n", row.n, "n"),
+        Row("group", row.group, "pi1"),
+        Row(None, row.group.group_order, "order"),
+    ],
+    "canonical-status": _status_cells,
+}
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    header, text_rows, json_rows = _table_payload(args.name)
+    rows = tables.build_table(args.name)
+    records = [_TABLE_COLUMNS[args.name](row) for row in rows]
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "table": args.name,
-                    "rows": json_rows,
-                    "citations": list(_TABLE_CITATIONS),
-                },
-                indent=2,
-            )
+        return _emit(
+            [
+                Row("table", args.name),
+                Row("rows", [_json_object(record) for record in records]),
+                Row("citations", _TABLE_CITATIONS),
+            ],
+            True,
         )
-        return 0
-    _print_columns(header, text_rows)
+    _print_columns(
+        [label for label, _ in _text_cells(records[0])],
+        [[text for _, text in _text_cells(record)] for record in records],
+    )
     return 0
 
 

@@ -29,6 +29,7 @@ from typing import Callable, Optional, Union
 
 from .errors import (
     InvalidParameters,
+    LinkInputError,
     NotCoprime,
     UnknotInput,
     UnknownAlias,
@@ -266,38 +267,17 @@ def normalize(link: SeifertLink) -> SeifertLink:
                 current = result
                 changed = True
                 break
-    assert is_canonical(current), f"normalization left {current!r} non-canonical"
     return current
 
 
 def is_canonical(link: SeifertLink) -> bool:
-    """True when `link` is already in the unique normal form."""
+    """True when `link` is already in the unique normal form: it is valid
+    and no rewrite rule applies to it."""
     try:
         _validate(link)
-    except Exception:
+    except LinkInputError:
         return False
-    if isinstance(link, HopfSum):
-        return link.plus >= link.minus
-    if link.w < 0:
-        return False
-    if isinstance(link, ZeroCore):
-        if (link.p, link.q, link.k) == (1, 1, 2):
-            return False
-        return link.p <= link.q
-    if isinstance(link, OneCore):
-        if link.q == 1 or (link.p == 1 and link.k == 1):
-            return False
-        return not (link.w == 0 and link.sign == -1)
-    if (link.sign1, link.sign2) == (-1, 1):
-        return False
-    if link.sign1 == link.sign2 and link.p > link.q:
-        return False
-    if link.w == 0:
-        if link.sign1 == -1:
-            return False
-        if (link.sign1, link.sign2) == (1, -1) and link.p > link.q:
-            return False
-    return True
+    return all(rule(link) is None for rule in _REWRITE_RULES)
 
 
 # -- rendering ----------------------------------------------------------------

@@ -20,7 +20,6 @@ from .link_model import (
     HopfSum,
     OneCore,
     SeifertLink,
-    TwoCore,
     ZeroCore,
     normalize,
     reorient_to_P,
@@ -28,12 +27,9 @@ from .link_model import (
 
 __all__ = [
     "ConeOrbifold",
-    "chi",
     "b_bar",
     "FibreCoverData",
     "fibre_data",
-    "base_orbifold_sigma_n",
-    "pi1_sigma_n_finite",
     "Cyclic",
     "BinaryDihedral",
     "BinaryTetrahedral",
@@ -54,10 +50,10 @@ class ConeOrbifold:
     @staticmethod
     def build(orders: Iterable[int]) -> "ConeOrbifold":
         """Sort the orders and drop trivial (order 1) cone points."""
-        kept = tuple(sorted(a for a in orders if a > 1))
+        orders = tuple(orders)
         if any(a < 1 for a in orders):
             raise InvalidParameters("cone orders must be positive")
-        return ConeOrbifold(kept)
+        return ConeOrbifold(tuple(sorted(a for a in orders if a > 1)))
 
     @property
     def chi(self) -> Fraction:
@@ -83,10 +79,6 @@ class ConeOrbifold:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def chi(orbifold: ConeOrbifold) -> Fraction:
-    return orbifold.chi
 
 
 def _require_prime_level(link: SeifertLink, n: int) -> SeifertLink:
@@ -162,23 +154,6 @@ def fibre_data(link: SeifertLink, n: int) -> FibreCoverData:
     _, _, _, s = _core_parameters(link)
     r = n // math.gcd(n, s % n)
     return FibreCoverData(s=s, r=r, cover_degree=n // r)
-
-
-def base_orbifold_sigma_n(
-    link: SeifertLink, n: int
-) -> tuple[Fraction, Optional[ConeOrbifold]]:
-    """(Euler characteristic of the cover's base, and the base orbifold
-    itself when the fibration does not unwrap, i.e. when r = n)."""
-    link = _require_prime_level(link, n)
-    data = fibre_data(link, n)
-    base = b_bar(link, n)
-    total = data.cover_degree * base.chi
-    return total, (base if data.r == n else None)
-
-
-def pi1_sigma_n_finite(link: SeifertLink, n: int) -> bool:
-    """Finiteness of the fundamental group of the n-fold branched cover."""
-    return b_bar(link, n).chi > 0
 
 
 # -- identification of the finite groups --------------------------------------

@@ -180,6 +180,19 @@ def test_cover_json_star_case(capsys):
     assert payload["cover_base_chi"] == {"num": 0, "den": 1}
 
 
+def test_cover_base_when_fibration_unwraps(capsys):
+    # The cover's base has Euler characteristic cover_degree * chi; the base
+    # orbifold itself is reported only when the fibre does not unwrap (r = n).
+    for text, n, total_chi, unwrapped in [
+        ("T(2,3)", 5, {"num": 1, "den": 30}, [2, 3, 5]),
+        ("T(2,3)", 6, {"num": 0, "den": 1}, None),
+        ("L(1,1;4,4)", 2, {"num": 0, "den": 1}, None),
+    ]:
+        payload = run_json(capsys, ["cover", text, "--n", str(n), "--json"])
+        assert payload["cover_base_chi"] == total_chi, (text, n)
+        assert payload["cover_base_orbifold"] == unwrapped, (text, n)
+
+
 def test_cover_text_output(capsys):
     assert main(["cover", "P(-2,2,4)'", "--n", "7"]) == 0
     out = capsys.readouterr().out
@@ -269,6 +282,10 @@ def test_canonical_status_table_shape(capsys):
         ["cover", "T(2,3)", "--n", "1"],
         ["cover", "T(2,3)", "--n", "3", "--weights", "1,1"],
         ["table", "nope"],
+        ["cover", "T(2,3)", "--n", "3", "--weights", "a"],
+        ["cover", "T(2,3)", "--n", "3", "--weights", "1,,2"],
+        ["cover", "T(2,3)", "--n", "3", "--weights", ""],
+        ["cover", "T(2,3)", "--n", "3", "--weights", "1.5"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):

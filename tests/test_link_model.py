@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from seifertlinks import (
     HopfSum,
     InvalidParameters,
+    LinkInputError,
     NotCoprime,
     OneCore,
     TwoCore,
@@ -95,6 +97,69 @@ def test_rejects_unknot_presentations():
 
 
 # -- normalization is total, idempotent, and confluent --------------------------
+
+
+def reference_is_canonical(link) -> bool:
+    """The normal form written out case by case, independently of the
+    rewrite rules that `is_canonical` is derived from."""
+    try:
+        normalize(link)
+    except LinkInputError:
+        return False
+    if isinstance(link, HopfSum):
+        return link.plus >= link.minus
+    if link.w < 0:
+        return False
+    if isinstance(link, ZeroCore):
+        if (link.p, link.q, link.k) == (1, 1, 2):
+            return False
+        return link.p <= link.q
+    if isinstance(link, OneCore):
+        if link.q == 1 or (link.p == 1 and link.k == 1):
+            return False
+        return not (link.w == 0 and link.sign == -1)
+    if (link.sign1, link.sign2) == (-1, 1):
+        return False
+    if link.sign1 == link.sign2 and link.p > link.q:
+        return False
+    if link.w == 0:
+        if link.sign1 == -1:
+            return False
+        if (link.sign1, link.sign2) == (1, -1) and link.p > link.q:
+            return False
+    return True
+
+
+def dense_box():
+    """Every parameter tuple in a small box, valid or not."""
+    signs = (1, -1, 0)
+    for a, b in product(range(-1, 4), repeat=2):
+        yield HopfSum(a, b)
+    for p, q, k, w in product(range(0, 6), range(0, 6), range(0, 5), range(-5, 6)):
+        yield ZeroCore(p, q, k, w)
+        for s1 in signs:
+            yield OneCore(p, q, k, w, s1)
+            for s2 in signs:
+                yield TwoCore(p, q, k, w, s1, s2)
+
+
+def test_is_canonical_matches_reference_on_dense_box(grid):
+    links = list(dense_box()) + list(grid)
+    disagree = [
+        link
+        for link in links
+        if is_canonical(link) != reference_is_canonical(link)
+    ]
+    assert not disagree, disagree[:5]
+    assert any(is_canonical(link) for link in dense_box())
+
+
+@settings(max_examples=300)
+@given(raw_links())
+def test_is_canonical_matches_reference_on_raw_links(raw):
+    assert is_canonical(raw) == reference_is_canonical(raw)
+    canonical = normalize(raw)
+    assert is_canonical(canonical) and reference_is_canonical(canonical)
 
 
 def test_grid_links_are_canonical(grid):

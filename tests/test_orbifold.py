@@ -22,12 +22,9 @@ from seifertlinks import (
     TwoCore,
     ZeroCore,
     b_bar,
-    base_orbifold_sigma_n,
-    chi,
     fibre_data,
     finite_group,
     is_ade_up_to_orientation,
-    pi1_sigma_n_finite,
     reorient_to_P,
 )
 
@@ -39,6 +36,14 @@ def test_cone_orders_are_sorted_and_trivial_cones_dropped():
     orbifold = ConeOrbifold.build([2, 5, 1, 3, 1])
     assert orbifold.cone_orders == (2, 3, 5)
     assert orbifold.render() == "S2(2,3,5)"
+
+
+def test_cone_orders_must_be_positive():
+    with pytest.raises(InvalidParameters):
+        ConeOrbifold.build([0, 3])
+    # A generator is validated before the trivial cones are dropped.
+    with pytest.raises(InvalidParameters):
+        ConeOrbifold.build(x for x in [0, 3])
 
 
 def test_chi_values():
@@ -56,11 +61,6 @@ def test_geometry_by_sign():
     assert ConeOrbifold.build([2, 3, 5]).geometry == "spherical"
     assert ConeOrbifold.build([2, 4, 4]).geometry == "euclidean"
     assert ConeOrbifold.build([2, 3, 7]).geometry == "hyperbolic"
-
-
-def test_chi_free_function_matches_property():
-    orbifold = ConeOrbifold.build([2, 2, 3])
-    assert chi(orbifold) == orbifold.chi == Fraction(1, 3)
 
 
 # -- quotient orbifolds of branched covers ------------------------------------------
@@ -116,20 +116,6 @@ def test_fibre_data_examples():
     assert (data.s, data.r, data.cover_degree) == (4, 3, 1)
 
 
-def test_base_orbifold_when_fibration_unwraps():
-    total_chi, base = base_orbifold_sigma_n(ZeroCore(2, 3, 1, 1), 5)
-    assert total_chi == Fraction(1, 30)
-    assert base is not None and base.cone_orders == (2, 3, 5)
-
-    total_chi, base = base_orbifold_sigma_n(ZeroCore(2, 3, 1, 1), 6)
-    assert total_chi == Fraction(0)
-    assert base is None
-
-    total_chi, base = base_orbifold_sigma_n(ZeroCore(1, 1, 4, 4), 2)
-    assert total_chi == Fraction(0)
-    assert base is None
-
-
 # -- finiteness -----------------------------------------------------------------------
 
 
@@ -139,7 +125,7 @@ def test_finiteness_follows_chi_sign(grid):
             continue
         for n in (2, 3, 5):
             expected = b_bar(link, n).chi > 0
-            assert pi1_sigma_n_finite(link, n) is expected, (link, n)
+            assert (finite_group(link, n) is not None) is expected, (link, n)
 
 
 def test_two_fold_groups_of_simply_laced_links():
