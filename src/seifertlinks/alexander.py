@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NotCoprime, ZeroPolynomial
+from .errors import InvariantViolation, NotCoprime, ZeroPolynomial
 from .laurent import LaurentPoly, cyclotomic, geometric_sum, one_minus_t_power
 from .link_model import (
     HopfSum,
@@ -127,7 +127,8 @@ def genus(link: SeifertLink) -> int:
     if poly.is_zero:
         return 0
     spread = poly.breadth - components(link) + 1
-    assert spread % 2 == 0, f"odd genus spread for {link!r}"
+    if spread % 2 != 0:
+        raise InvariantViolation(f"odd genus spread for {link!r}")
     return spread // 2
 
 

@@ -7,9 +7,9 @@ heavier orbifold machinery lives one layer up and imports this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
+from ._record import Record
 from .alexander import genus
 from .errors import NotPrime
 from .link_model import (
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class DynkinType(Record):
     """A simply laced root-system type: A_m (m>=1), D_m (m>=4), E_6/7/8."""
 
     family: str
@@ -63,15 +62,13 @@ class DynkinType:
         return f"{self.family}{self.index}"
 
 
-@dataclass(frozen=True)
-class Known:
+class Known(Record):
     """A four-genus value that is determined exactly."""
 
     value: int
 
 
-@dataclass(frozen=True)
-class StrictlyLessThanGenus:
+class StrictlyLessThanGenus(Record):
     """The four-genus is strictly below the Seifert genus, value unknown."""
 
 
@@ -232,8 +229,7 @@ def is_ade_up_to_orientation(link: SeifertLink) -> bool:
     return is_ade(reorient_to_P(link)) is not None
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """Bundle of every classification predicate for one link."""
 
     is_prime: bool

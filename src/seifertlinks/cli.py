@@ -8,8 +8,8 @@ names), 3 internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
@@ -80,6 +80,11 @@ _TABLE_CITATIONS = (
 
 # -- link notation parser ------------------------------------------------------
 
+# Every integer the CLI reads, in link notation, `--n` or `--weights`: an
+# optional sign and ASCII digits.  (`str.isdigit` and `int` also take
+# superscripts, other scripts' digits, underscores and surrounding blanks.)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
 
 class _Scanner:
     def __init__(self, text: str) -> None:
@@ -102,15 +107,11 @@ class _Scanner:
 
     def integer(self) -> int:
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            raise LinkSyntaxError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        match = _INTEGER.match(self.text, self.pos)
+        if match is None:
+            raise LinkSyntaxError("expected an integer", self.pos)
+        self.pos = match.end()
+        return int(match.group())
 
     def sign(self) -> int:
         ch = self.peek()
@@ -228,7 +229,7 @@ def _encode(value: Any) -> Any:
         return render(value)
     if isinstance(value, DynkinType):
         return str(value)
-    fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    fields = {name: getattr(value, name) for name in value._fields}
     kind = _KINDS.get(type(value))
     return fields if kind is None else {"kind": kind, **fields}
 
@@ -295,7 +296,7 @@ def _link_rows(
     found = alias(link)
     name = found.name if found else None
     return [
-        Row("link", text, "link", text.strip()),
+        Row("link", text.strip(), "link"),
         Row("normalized", render(link), "normalized"),
         Row("alias", name, "alias" if alias_text else None),
     ]
@@ -339,12 +340,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(piece) for piece in text.split(","))
-    except ValueError:
+    pieces = text.split(",")
+    if not all(_INTEGER.fullmatch(piece) for piece in pieces):
         raise InvalidParameters(
             f"malformed weights {text!r}: expected comma-separated integers"
-        ) from None
+        )
+    return tuple(int(piece) for piece in pieces)
+
+
+def _cover_index(text: str) -> int:
+    if _INTEGER.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
@@ -525,7 +532,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "cover", help="branched-cover analysis for a link"
     )
     p_cover.add_argument("link")
-    p_cover.add_argument("--n", type=int, required=True, help="cover index")
+    p_cover.add_argument(
+        "--n", type=_cover_index, required=True, help="cover index"
+    )
     p_cover.add_argument(
         "--weights",
         help="comma-separated branching weights, one per component",

@@ -19,14 +19,15 @@ arbitrary weighted cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._record import Record
 from .alexander import cyclotomic_divides
 from .classify import is_ade_up_to_orientation
 from .errors import (
     InvalidParameters,
+    InvariantViolation,
     NotCore,
     NotInCatalog,
     NotPrime,
@@ -80,8 +81,7 @@ CATALOG_HOROFOLIATION = (
 )
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class CoverSpec(Record):
     """A branching index n >= 2 and one weight per component, listed as
     copies first, then the first core, then the second, measured against
     the positively reoriented link.  Weights lie in 1..n-1."""
@@ -134,8 +134,7 @@ def canonical_weights(link: SeifertLink, n: int) -> CoverSpec:
     return CoverSpec(n, tuple(weights))
 
 
-@dataclass(frozen=True)
-class JNData:
+class JNData(Record):
     """Rotation-number data of the weighted cover: one angle per cone
     point of the base, their sum sigma, and the count r."""
 
@@ -181,8 +180,7 @@ def jn_lo_sufficient(data: JNData) -> bool:
     return data.r >= 5
 
 
-@dataclass(frozen=True)
-class SeifertInvariants:
+class SeifertInvariants(Record):
     """Normalized Seifert invariants (e0; b1/a1, ..., br/ar) of a cover."""
 
     e0: int
@@ -238,36 +236,31 @@ def nlo_seifert_invariants(link: SeifertLink, n: int) -> SeifertInvariants:
 # -- evidence and verdicts -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FinitePi1:
+class FinitePi1(Record):
     """The cover's fundamental group is finite."""
 
     group: FiniteGroupTag
 
 
-@dataclass(frozen=True)
-class NoCTF_SeifertObstruction:
+class NoCTF_SeifertObstruction(Record):
     """The cover admits no co-oriented taut foliation."""
 
     invariants: SeifertInvariants
 
 
-@dataclass(frozen=True)
-class PositiveBetti:
+class PositiveBetti(Record):
     """The cover has positive first Betti number."""
 
     n: int
 
 
-@dataclass(frozen=True)
-class PSL2R_Rep:
+class PSL2R_Rep(Record):
     """Rotation-number witness of a left-orderable PSL(2,R) lift."""
 
     data: JNData
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(Record):
     """A catalogued fact, carried as a neutral descriptive note."""
 
     note: str
@@ -281,15 +274,13 @@ _STAR_EVIDENCE = (PositiveBetti, PSL2R_Rep, Catalog)
 _NOT_STAR_EVIDENCE = (FinitePi1, NoCTF_SeifertObstruction, Catalog)
 
 
-@dataclass(frozen=True)
-class LO:
+class LO(Record):
     """Left-orderability established, with its witness."""
 
     evidence: Evidence
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(Record):
     """The one-sided tests for this weighted cover all failed."""
 
 
@@ -338,8 +329,7 @@ def _link_of_weights(link: SeifertLink, spec: CoverSpec) -> SeifertLink:
     return normalize(TwoCore(link.p, link.q, link.k, balance, sign1, sign2))
 
 
-@dataclass(frozen=True)
-class StarStatus:
+class StarStatus(Record):
     """Verdict for the canonical n-fold cover, with matching evidence.
 
     `star` is True when the cover's fundamental group is left-orderable.
@@ -410,7 +400,8 @@ def canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
         if link.plus + link.minus >= 2:
             raise NotPrime("star status is defined for prime links only")
         group = finite_group(link, n)
-        assert group is not None
+        if group is None:
+            raise InvariantViolation(f"infinite group for {link!r} at n={n}")
         return StarStatus(False, FinitePi1(group))
 
     if not is_ade_up_to_orientation(link):
@@ -431,7 +422,8 @@ def canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
     if balanced_pretzel or reversed_even_pretzel:
         if n == 2:
             group = finite_group(link, 2)
-            assert group is not None
+            if group is None:
+                raise InvariantViolation(f"infinite group for {link!r} at n=2")
             return StarStatus(False, FinitePi1(group))
         return StarStatus(
             False, NoCTF_SeifertObstruction(nlo_seifert_invariants(link, n))

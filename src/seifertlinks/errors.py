@@ -56,6 +56,12 @@ class LinkSyntaxError(LinkInputError):
         self.position = position
 
 
+class InvariantViolation(RuntimeError):
+    """A result the mathematics guarantees did not hold: a defect of the
+    package, never of the input, so the CLI reports it as an internal
+    error."""
+
+
 class NotDivisible(ArithmeticError):
     """Exact polynomial division was requested but leaves a remainder."""
 

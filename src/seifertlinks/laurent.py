@@ -17,10 +17,10 @@ and the cyclotomic polynomials needed for first-Betti-number tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator
 
+from ._record import Record
 from .errors import NotDivisible, ZeroPolynomial
 
 __all__ = [
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Record):
     """A sparse Laurent polynomial: sorted (exponent, coefficient) pairs.
 
     Coefficients are nonzero integers; exponents are integers of either
@@ -42,6 +41,10 @@ class LaurentPoly:
     """
 
     terms: tuple[tuple[int, int], ...]
+
+    def __init__(self, terms: tuple[tuple[int, int], ...]) -> None:
+        # Direct, not Record.__init__: about half of all records built.
+        object.__setattr__(self, "terms", terms)
 
     # -- construction ------------------------------------------------------
 

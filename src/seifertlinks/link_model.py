@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
+from ._record import Record, replace
 from .errors import (
     InvalidParameters,
     LinkInputError,
@@ -52,16 +52,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HopfSum:
+class HopfSum(Record):
     """Connected sum of `plus` positive and `minus` negative Hopf links."""
 
     plus: int
     minus: int
 
 
-@dataclass(frozen=True)
-class ZeroCore:
+class ZeroCore(Record):
     """k parallel fibre copies, no exceptional cores: L(p,q;k,w)."""
 
     p: int
@@ -70,8 +68,7 @@ class ZeroCore:
     w: int
 
 
-@dataclass(frozen=True)
-class OneCore:
+class OneCore(Record):
     """k fibre copies plus the first core: L(p,q;k,w;sign)."""
 
     p: int
@@ -81,8 +78,7 @@ class OneCore:
     sign: int
 
 
-@dataclass(frozen=True)
-class TwoCore:
+class TwoCore(Record):
     """k fibre copies plus both cores: L(p,q;k,w;sign1,sign2)."""
 
     p: int
@@ -308,8 +304,7 @@ def render(link: SeifertLink) -> str:
 # -- aliases ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinkAlias:
+class LinkAlias(Record):
     """A conventional name for a catalogued link.
 
     `family` is one of torus, torus-reoriented, pretzel,

@@ -10,12 +10,12 @@ and in the finite cases a short catalog identifies the group itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
+from ._record import Record
 from .classify import DynkinType, is_ade
-from .errors import InvalidParameters, NotPrime
+from .errors import InvalidParameters, InvariantViolation, NotPrime
 from .link_model import (
     HopfSum,
     OneCore,
@@ -41,11 +41,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConeOrbifold:
+class ConeOrbifold(Record):
     """A 2-sphere with cone points; orders sorted ascending, all >= 2."""
 
     cone_orders: tuple[int, ...]
+
+    def __init__(self, cone_orders: tuple[int, ...]) -> None:
+        # Direct, not Record.__init__: about a fifth of all records built.
+        object.__setattr__(self, "cone_orders", cone_orders)
 
     @staticmethod
     def build(orders: Iterable[int]) -> "ConeOrbifold":
@@ -135,8 +138,7 @@ def b_bar(link: SeifertLink, n: int) -> ConeOrbifold:
     return ConeOrbifold.build(orders)
 
 
-@dataclass(frozen=True)
-class FibreCoverData:
+class FibreCoverData(Record):
     """How the regular fibre behaves under the n-fold branched cover.
 
     `s` is the total winding of the link against a regular fibre, `r` the
@@ -159,8 +161,7 @@ def fibre_data(link: SeifertLink, n: int) -> FibreCoverData:
 # -- identification of the finite groups --------------------------------------
 
 
-@dataclass(frozen=True)
-class Cyclic:
+class Cyclic(Record):
     order: int
 
     @property
@@ -176,8 +177,7 @@ class Cyclic:
         return self.order
 
 
-@dataclass(frozen=True)
-class BinaryDihedral:
+class BinaryDihedral(Record):
     index: int
 
     @property
@@ -193,8 +193,7 @@ class BinaryDihedral:
         return 4
 
 
-@dataclass(frozen=True)
-class BinaryTetrahedral:
+class BinaryTetrahedral(Record):
     @property
     def label(self) -> str:
         return "T*"
@@ -208,8 +207,7 @@ class BinaryTetrahedral:
         return 3
 
 
-@dataclass(frozen=True)
-class BinaryOctahedral:
+class BinaryOctahedral(Record):
     @property
     def label(self) -> str:
         return "O*"
@@ -223,8 +221,7 @@ class BinaryOctahedral:
         return 2
 
 
-@dataclass(frozen=True)
-class BinaryIcosahedral:
+class BinaryIcosahedral(Record):
     @property
     def label(self) -> str:
         return "I*"
@@ -238,8 +235,7 @@ class BinaryIcosahedral:
         return 1
 
 
-@dataclass(frozen=True)
-class FiniteUnidentified:
+class FiniteUnidentified(Record):
     """Finite by the Euler-characteristic test, but outside the catalog
     of groups this package identifies by name."""
 
@@ -304,7 +300,8 @@ def finite_group(link: SeifertLink, n: int) -> Optional[FiniteGroupTag]:
         return None
     if n == 2:
         dynkin = is_ade(reorient_to_P(link))
-        assert dynkin is not None, f"spherical double cover of non-ADE {link!r}"
+        if dynkin is None:
+            raise InvariantViolation(f"spherical double cover of non-ADE {link!r}")
         return _two_fold_group(dynkin)
     if len(base.cone_orders) <= 2:
         return Cyclic(n)

@@ -9,13 +9,13 @@ independently frozen expectations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Record
 from .alexander import cyclotomic_divides, determinant
 from .classify import DynkinType, ade_link, is_ade
 from .cover import StarStatus, canonical_star_status
-from .errors import UnknownTable
+from .errors import InvariantViolation, UnknownTable
 from .link_model import (
     OneCore,
     SeifertLink,
@@ -56,8 +56,7 @@ def _dedupe(links: list[SeifertLink]) -> tuple[SeifertLink, ...]:
     return tuple(seen)
 
 
-@dataclass(frozen=True)
-class AdeTwoFoldRow:
+class AdeTwoFoldRow(Record):
     """One simply laced type with its link and double-cover data."""
 
     dynkin: DynkinType
@@ -75,7 +74,8 @@ def ade_two_fold_rows(max_index: int = 12) -> tuple[AdeTwoFoldRow, ...]:
     for dynkin in types:
         link = normalize(ade_link(dynkin))
         group = finite_group(link, 2)
-        assert group is not None
+        if group is None:
+            raise InvariantViolation(f"infinite group for {link!r} at n=2")
         rows.append(
             AdeTwoFoldRow(
                 dynkin=dynkin,
@@ -88,8 +88,7 @@ def ade_two_fold_rows(max_index: int = 12) -> tuple[AdeTwoFoldRow, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class SphericalRow:
+class SphericalRow(Record):
     """A family whose n-fold cover base is spherical: the display text,
     the concrete reorientations it covers, their common base orbifold,
     the positively reoriented link, and its Dynkin type."""
@@ -107,10 +106,12 @@ def _family_row(
 ) -> SphericalRow:
     instances = _dedupe(raw_instances)
     bases = {b_bar(link, n) for link in instances}
-    assert len(bases) == 1, f"family {family} has mixed bases at n={n}"
+    if len(bases) != 1:
+        raise InvariantViolation(f"family {family} has mixed bases at n={n}")
     reoriented = reorient_to_P(instances[0])
     dynkin = is_ade(reoriented)
-    assert dynkin is not None, f"family {family} is not ADE up to orientation"
+    if dynkin is None:
+        raise InvariantViolation(f"family {family} is not ADE up to orientation")
     return SphericalRow(
         n=n,
         family=family,
@@ -177,8 +178,7 @@ def spherical_rows(max_q: int = 6) -> tuple[SphericalRow, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class EuclideanRow:
+class EuclideanRow(Record):
     """A family whose n-fold cover base is Euclidean, with the
     cyclotomic Betti-number witness for the reoriented link."""
 
@@ -195,7 +195,8 @@ def _euclidean_row(
 ) -> EuclideanRow:
     instances = _dedupe(raw_instances)
     bases = {b_bar(link, n) for link in instances}
-    assert len(bases) == 1
+    if len(bases) != 1:
+        raise InvariantViolation(f"family {family} has mixed bases at n={n}")
     reoriented = reorient_to_P(instances[0])
     return EuclideanRow(
         n=n,
@@ -228,8 +229,7 @@ def euclidean_rows() -> tuple[EuclideanRow, ...]:
     )
 
 
-@dataclass(frozen=True)
-class HigherFiniteRow:
+class HigherFiniteRow(Record):
     """A branched cover of index three or more with finite fundamental
     group."""
 
@@ -262,8 +262,7 @@ def higher_finite_rows(max_n: int = 12) -> tuple[HigherFiniteRow, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class StatusRow:
+class StatusRow(Record):
     """Star/NotStar verdicts for one link across a range of cover levels."""
 
     link: SeifertLink

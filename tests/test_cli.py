@@ -53,6 +53,7 @@ def run_json(capsys, argv):
         ("#2 H+ # 1 H-", HopfSum(2, 1)),
         ("#3H+", HopfSum(3, 0)),
         ("#1H-", HopfSum(0, 1)),
+        ("L(2,3;1,+1)", ZeroCore(2, 3, 1, 1)),
     ],
 )
 def test_parse_link_notation(text, link):
@@ -73,6 +74,8 @@ def test_parse_round_trips_renders(grid):
         ("#2H*", "expected '+' or '-'", 3),
         ("L(2,3;1,1) extra", "unexpected trailing text", 11),
         ("L(a,3;1,1)", "expected an integer", 2),
+        ("L(\u00b2,3;1,1)", "expected an integer", 2),
+        ("L(2,3;1,- 1)", "expected an integer", 8),
     ],
 )
 def test_parse_errors_carry_positions(text, message, position):
@@ -156,6 +159,21 @@ def test_cover_json_payload(capsys):
     assert payload["verdict"] == "NotStar"
     assert payload["evidence"]["kind"] == "finite_pi1"
     assert payload["seifert_invariants"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", " T(2,3)\t", "--json"],
+        ["cover", " T(2,3) ", "--n", "5", "--json"],
+        ["cover", " T(2,3) ", "--n", "5", "--weights", "1", "--json"],
+    ],
+)
+def test_json_link_is_stripped_like_the_text(capsys, argv):
+    assert run_json(capsys, argv)["link"] == "T(2,3)"
+    assert main([arg for arg in argv if arg != "--json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["link", "T(2,3)"]
 
 
 def test_cover_json_noctf_case(capsys):
@@ -286,12 +304,29 @@ def test_canonical_status_table_shape(capsys):
         ["cover", "T(2,3)", "--n", "3", "--weights", "1,,2"],
         ["cover", "T(2,3)", "--n", "3", "--weights", ""],
         ["cover", "T(2,3)", "--n", "3", "--weights", "1.5"],
+        ["classify", "L(\u00b2,3;1,1)"],
+        ["classify", "L(\uff12,3;1,1)"],
+        ["classify", "#\u00b9 H+"],
+        ["cover", "T(2,3)", "--n", "11", "--weights", "1_0"],
+        ["cover", "T(2,3)", "--n", "11", "--weights", "\uff15"],
+        ["cover", "T(2,3)", "--n", "11", "--weights", " 5"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("n", ["abc", "\uff15", "\u00b3", "1_0", " 5", "5 ", "+-5"])
+def test_malformed_cover_index_is_usage_error(capsys, n):
+    # argparse rejects its own arguments by exiting, code 2.
+    with pytest.raises(SystemExit) as stop:
+        main(["cover", "T(2,3)", "--n", n])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: argument --n: expected an integer" in captured.err
     assert captured.out == ""
 
 
@@ -309,6 +344,15 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "classification_report", boom)
     assert main(["classify", "T(2,3)"]) == 3
     assert capsys.readouterr().err.startswith("internal error: ")
+
+
+def test_broken_invariant_exits_3(capsys, monkeypatch):
+    # Invariants are checks that raise, not asserts `python -O` strips.
+    import seifertlinks.tables as tables
+
+    monkeypatch.setattr(tables, "finite_group", lambda link, n: None)
+    assert main(["table", "ade-2fold"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: infinite group")
 
 
 def test_missing_subcommand_is_usage_error():

@@ -1,15 +1,20 @@
-"""Static hygiene of the package sources: no unused imports and no
-private function that nothing calls.
+"""Static hygiene of the package sources: no unused imports, no private
+function that nothing calls, no `assert` and no `dataclasses`.
 
-Both checks read the sources with the standard `ast` module, so they see
+The checks read the sources with the standard `ast` module, so they see
 names, not behaviour: a name counts as used when it appears anywhere in
 the module as an identifier or an attribute.
 `from __future__` imports and the re-exports of `__init__` are exempt.
+One more test imports the CLI in a fresh interpreter and checks which
+modules that loads.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "seifertlinks"
@@ -40,6 +45,16 @@ def _imported_names(tree: ast.Module) -> list[tuple[str, int]]:
                 name = item.asname or item.name.split(".")[0]
                 bound.append((name, node.lineno))
     return bound
+
+
+def _imported_modules(tree: ast.Module) -> list[tuple[str, int]]:
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [(item.name, node.lineno) for item in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append((node.module, node.lineno))
+    return modules
 
 
 def test_no_unused_imports():
@@ -75,3 +90,44 @@ def test_no_unreferenced_private_functions():
     assert not unreferenced, "unreferenced private functions: " + ", ".join(
         unreferenced
     )
+
+
+def test_no_assert_statements():
+    # `python -O` strips asserts; invariants raise InvariantViolation.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, "assert statements: " + ", ".join(found)
+
+
+def test_no_dataclasses_import():
+    # Records derive from `_record.Record`: `dataclasses` and the `inspect`
+    # it loads cost start-up time on every CLI query.
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for module, line in _imported_modules(_tree(path))
+        if module.split(".")[0] == "dataclasses"
+    ]
+    assert not found, "dataclasses imports: " + ", ".join(found)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # `-S` keeps the site packages' own imports out of the check.
+    code = (
+        "import seifertlinks.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]", result.stdout
