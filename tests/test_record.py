@@ -77,7 +77,7 @@ def _field_tuple(record: Record) -> tuple:
 
 
 def test_every_record_type_is_sampled():
-    assert len(RECORD_TYPES) == 34
+    assert {ZeroCore, seifertlinks.LaurentPoly, StarStatus} <= RECORD_TYPES
     assert set(SAMPLES) == RECORD_TYPES
 
 
