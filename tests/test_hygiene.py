@@ -1,5 +1,6 @@
 """Static hygiene of the package sources: no unused imports, no private
-function that nothing calls, no `assert` and no `dataclasses`.
+function that nothing calls, no `assert`, no `dataclasses` and no
+unbounded memo.
 
 The checks read the sources with the standard `ast` module, so they see
 names, not behaviour: a name counts as used when it appears anywhere in
@@ -113,6 +114,53 @@ def test_no_dataclasses_import():
         if module.split(".")[0] == "dataclasses"
     ]
     assert not found, "dataclasses imports: " + ", ".join(found)
+
+
+def _unbounded_caches(tree: ast.Module) -> list[int]:
+    """Lines that bind `functools.cache` or call `lru_cache(maxsize=None)`."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for item in node.names if item.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", ""))
+            sizes = node.args[:1]
+            sizes += [item.value for item in node.keywords if item.arg == "maxsize"]
+            unbounded = any(
+                isinstance(size, ast.Constant) and size.value is None
+                for size in sizes
+            )
+            if name == "lru_cache" and unbounded:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_unbounded_caches():
+    # A memo without a bound grows with every distinct input a long-lived
+    # caller passes; memory must stay bounded.
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _unbounded_caches(_tree(path))
+    ]
+    assert not found, "unbounded caches: " + ", ".join(found)
+
+
+def test_unbounded_cache_rule_sees_each_spelling():
+    sources = [
+        "from functools import cache",
+        "import functools\n@functools.cache\ndef f(): pass",
+        "from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(): pass",
+        "import functools\n@functools.lru_cache(None)\ndef f(): pass",
+    ]
+    for source in sources:
+        assert _unbounded_caches(ast.parse(source)), source
+    bounded = "import functools\n@functools.lru_cache(maxsize=64)\ndef f(): pass"
+    assert not _unbounded_caches(ast.parse(bounded))
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
