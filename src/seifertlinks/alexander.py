@@ -102,7 +102,11 @@ def delta(link: SeifertLink) -> LaurentPoly:
     number of terms rather than the breadth.  The zero polynomial occurs
     exactly for ZeroCore links with w = 0 and k != 2.
     """
-    factored = _factored(normalize(link))
+    return _delta(normalize(link))
+
+
+def _delta(link: SeifertLink) -> LaurentPoly:
+    factored = _factored(link)
     if factored is None:
         return LaurentPoly.zero()
     content, numerator, denominator = factored
@@ -122,7 +126,11 @@ def determinant(link: SeifertLink) -> int:
     to m/d there.  So Delta(-1) is 0 when 1 + t divides Delta, and
     otherwise c times the product of f(m) over the numerator divided by
     that over the denominator, f(m) = m for even m and 2 for odd m."""
-    factored = _factored(normalize(link))
+    return _determinant(normalize(link))
+
+
+def _determinant(link: SeifertLink) -> int:
+    factored = _factored(link)
     if factored is None or _cyclotomic_count(2, factored) > 0:
         return 0
     content, numerator, denominator = factored
@@ -141,7 +149,10 @@ def genus(link: SeifertLink) -> int:
     the genus is (breadth - components + 1) / 2, and 0 on the
     non-fibred (zero polynomial) cases.
     """
-    link = normalize(link)
+    return _genus(normalize(link))
+
+
+def _genus(link: SeifertLink) -> int:
     factored = _factored(link)
     if factored is None:
         return 0
@@ -160,5 +171,9 @@ def cyclotomic_divides(n: int, link: SeifertLink) -> bool:
     Read off the exponents: see `_cyclotomic_count`."""
     if n < 1:
         raise ValueError("cyclotomic index must be a positive integer")
-    factored = _factored(normalize(link))
+    return _cyclotomic_divides(n, normalize(link))
+
+
+def _cyclotomic_divides(n: int, link: SeifertLink) -> bool:
+    factored = _factored(link)
     return factored is None or _cyclotomic_count(n, factored) > 0

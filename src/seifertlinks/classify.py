@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ._record import Record
-from .alexander import genus
+from .alexander import _genus
 from .errors import NotPrime
 from .link_model import (
     HopfSum,
@@ -18,8 +18,8 @@ from .link_model import (
     SeifertLink,
     TwoCore,
     ZeroCore,
+    _reorient_to_P,
     normalize,
-    reorient_to_P,
 )
 
 __all__ = [
@@ -99,7 +99,10 @@ def ade_link(dynkin: DynkinType) -> SeifertLink:
 
 def is_ade(link: SeifertLink) -> Optional[DynkinType]:
     """The Dynkin type of `link` if it is one of the ADE links, else None."""
-    link = normalize(link)
+    return _is_ade(normalize(link))
+
+
+def _is_ade(link: SeifertLink) -> Optional[DynkinType]:
     if link == HopfSum(1, 0):
         return DynkinType("A", 1)
     if isinstance(link, ZeroCore):
@@ -128,20 +131,29 @@ def is_ade(link: SeifertLink) -> Optional[DynkinType]:
 
 def is_prime(link: SeifertLink) -> bool:
     """False exactly for connected sums of two or more Hopf links."""
-    link = normalize(link)
+    return _is_prime(normalize(link))
+
+
+def _is_prime(link: SeifertLink) -> bool:
     return not (isinstance(link, HopfSum) and link.plus + link.minus >= 2)
 
 
 def is_fibred(link: SeifertLink) -> bool:
     """False exactly for the balanced coreless links (w = 0, no cores)."""
-    link = normalize(link)
+    return _is_fibred(normalize(link))
+
+
+def _is_fibred(link: SeifertLink) -> bool:
     return not (isinstance(link, ZeroCore) and link.w == 0)
 
 
 def in_P(link: SeifertLink) -> bool:
     """Membership in the positively oriented class: every fibre copy and
     every core runs with the fibration."""
-    link = normalize(link)
+    return _in_P(normalize(link))
+
+
+def _in_P(link: SeifertLink) -> bool:
     if isinstance(link, HopfSum):
         return link.minus == 0
     if isinstance(link, ZeroCore):
@@ -158,23 +170,27 @@ is_braid_positive = in_P
 
 def is_sqp(link: SeifertLink) -> bool:
     """Strong quasipositivity."""
-    link = normalize(link)
-    if in_P(link):
-        return True
-    return isinstance(link, ZeroCore) and link.w == 0
+    return _is_sqp(normalize(link))
+
+
+def _is_sqp(link: SeifertLink) -> bool:
+    return _in_P(link) or (isinstance(link, ZeroCore) and link.w == 0)
 
 
 def is_genus_zero(link: SeifertLink) -> bool:
     """Whether the Seifert genus vanishes."""
-    return genus(link) == 0
+    return _genus(normalize(link)) == 0
 
 
 def g4_status(link: SeifertLink) -> tuple[bool, FourGenus]:
     """(whether the smooth four-genus equals the Seifert genus, and the
     best four-genus information available)."""
-    link = normalize(link)
-    g = genus(link)
-    if in_P(link) or g == 0:
+    return _g4_status(normalize(link))
+
+
+def _g4_status(link: SeifertLink) -> tuple[bool, FourGenus]:
+    g = _genus(link)
+    if _in_P(link) or g == 0:
         return True, Known(g)
     if not isinstance(link, HopfSum) and link.w == 0:
         # Balanced orientations bound annuli in the four-ball.
@@ -185,10 +201,13 @@ def g4_status(link: SeifertLink) -> tuple[bool, FourGenus]:
 def is_definite(link: SeifertLink) -> bool:
     """Whether the link bounds a surface with definite symmetrized Seifert
     form realizing the genus."""
-    link = normalize(link)
+    return _is_definite(normalize(link))
+
+
+def _is_definite(link: SeifertLink) -> bool:
     if isinstance(link, HopfSum):
         return link.minus == 0
-    if is_ade(link) is not None:
+    if _is_ade(link) is not None:
         return True
     if isinstance(link, ZeroCore) and link.k == 2 and link.w == 0:
         return True
@@ -207,11 +226,16 @@ def is_ade_up_to_orientation(link: SeifertLink) -> bool:
     checks that equivalence against the orbifold module.
     """
     link = normalize(link)
+    if not _is_prime(link):
+        raise NotPrime("ADE membership up to orientation needs a prime link")
+    return _is_ade_up_to_orientation(link)
+
+
+def _is_ade_up_to_orientation(link: SeifertLink) -> bool:
+    """The same, for a canonical prime link."""
     if isinstance(link, HopfSum):
-        if link.plus + link.minus >= 2:
-            raise NotPrime("ADE membership up to orientation needs a prime link")
         return True
-    return is_ade(reorient_to_P(link)) is not None
+    return _is_ade(_reorient_to_P(link)) is not None
 
 
 class ClassificationReport(Record):
@@ -232,22 +256,27 @@ class ClassificationReport(Record):
 
 
 def classification_report(link: SeifertLink) -> ClassificationReport:
-    link = normalize(link)
-    prime = is_prime(link)
-    equal, four_genus = g4_status(link)
+    return _classification_report(normalize(link))
+
+
+def _classification_report(link: SeifertLink) -> ClassificationReport:
+    prime = _is_prime(link)
+    positive = _in_P(link)
+    g = _genus(link)
+    equal, four_genus = _g4_status(link)
     return ClassificationReport(
         is_prime=prime,
-        is_fibred=is_fibred(link),
-        in_P=in_P(link),
-        is_braid_positive=is_braid_positive(link),
-        is_sqp=is_sqp(link),
-        is_genus_zero=is_genus_zero(link),
+        is_fibred=_is_fibred(link),
+        in_P=positive,
+        is_braid_positive=positive,
+        is_sqp=_is_sqp(link),
+        is_genus_zero=g == 0,
         g4_equals_g=equal,
-        genus=genus(link),
+        genus=g,
         g4=four_genus,
-        is_definite=is_definite(link),
-        dynkin=is_ade(link),
+        is_definite=_is_definite(link),
+        dynkin=_is_ade(link),
         ade_up_to_orientation=(
-            is_ade_up_to_orientation(link) if prime else False
+            _is_ade_up_to_orientation(link) if prime else False
         ),
     )

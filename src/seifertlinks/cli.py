@@ -15,12 +15,12 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import tables
-from .alexander import delta, determinant
+from .alexander import _delta, _determinant
 from .classify import (
     DynkinType,
     Known,
     StrictlyLessThanGenus,
-    classification_report,
+    _classification_report,
 )
 from .cover import (
     Catalog,
@@ -30,11 +30,12 @@ from .cover import (
     NoCTF_SeifertObstruction,
     PSL2R_Rep,
     PositiveBetti,
-    canonical_star_status,
-    general_psi_lo,
-    jn_data,
+    _canonical_star_status,
+    _general_psi_lo,
+    _jn_data,
+    _nlo_seifert_invariants,
+    _require_weighted_core,
     jn_lo_sufficient,
-    nlo_seifert_invariants,
 )
 from .errors import InvalidParameters, LinkInputError, LinkSyntaxError
 from .laurent import LaurentPoly
@@ -44,8 +45,8 @@ from .link_model import (
     SeifertLink,
     TwoCore,
     ZeroCore,
-    alias,
-    alias_to_link,
+    _alias,
+    _alias_to_raw_link,
     components,
     normalize,
     render,
@@ -53,9 +54,11 @@ from .link_model import (
 from .orbifold import (
     ConeOrbifold,
     FiniteGroupTag,
-    b_bar,
-    fibre_data,
-    finite_group,
+    _b_bar,
+    _fibre_data,
+    _finite_group,
+    _require_level,
+    _require_prime,
 )
 
 _CLASSIFY_CITATIONS = (
@@ -177,7 +180,7 @@ def parse_link(text: str) -> SeifertLink:
     if head == "#":
         return _parse_hopf(scanner)
     if head in ("T", "P"):
-        return alias_to_link(text)
+        return _alias_to_raw_link(text)
     raise LinkSyntaxError("expected link notation", scanner.pos)
 
 
@@ -293,7 +296,7 @@ def _emit(record: list[Row], as_json: bool) -> int:
 def _link_rows(
     text: str, link: SeifertLink, alias_text: bool = True
 ) -> list[Row]:
-    found = alias(link)
+    found = _alias(link)
     name = found.name if found else None
     return [
         Row("link", text.strip(), "link"),
@@ -306,8 +309,10 @@ def _link_rows(
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    # Normalized once: the commands call the private bodies of the public
+    # functions, which take canonical links.
     link = normalize(parse_link(args.link))
-    report = classification_report(link)
+    report = _classification_report(link)
     return _emit(
         _link_rows(args.link, link)
         + [
@@ -328,8 +333,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 report.ade_up_to_orientation,
                 "ADE up to orientation",
             ),
-            Row("alexander", delta(link), "alexander"),
-            Row("determinant", determinant(link), "determinant"),
+            Row("alexander", _delta(link), "alexander"),
+            Row("determinant", _determinant(link), "determinant"),
             Row("citations", _CLASSIFY_CITATIONS),
         ],
         args.json,
@@ -360,8 +365,9 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     if args.weights is not None:
         weights = _parse_weights(args.weights)
         spec = CoverSpec(n, weights)
-        data = jn_data(link, spec)
-        outcome = general_psi_lo(link, spec)
+        _require_weighted_core(link, spec)
+        data = _jn_data(link, spec)
+        outcome = _general_psi_lo(link, spec)
         evidence = outcome.evidence if isinstance(outcome, LO) else None
         verdict = "inconclusive" if evidence is None else "left-orderable"
         return _emit(
@@ -381,12 +387,14 @@ def _cmd_cover(args: argparse.Namespace) -> int:
             args.json,
         )
 
-    base = b_bar(link, n)
-    fibre = fibre_data(link, n)
-    group = finite_group(link, n)
-    status = canonical_star_status(link, n)
+    _require_level(n)  # the checks of `b_bar`, in its order
+    _require_prime(link)
+    base = _b_bar(link, n)
+    fibre = _fibre_data(link, n)
+    group = _finite_group(link, n)
+    status = _canonical_star_status(link, n)
     try:
-        invariants = nlo_seifert_invariants(link, n)
+        invariants = _nlo_seifert_invariants(link, n)
     except LinkInputError:
         invariants = None
     unwrapped_base = base.cone_orders if fibre.r == n else None

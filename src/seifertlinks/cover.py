@@ -23,14 +23,13 @@ from fractions import Fraction
 from typing import Union
 
 from ._record import Record
-from .alexander import cyclotomic_divides
-from .classify import is_ade_up_to_orientation
+from .alexander import _cyclotomic_divides
+from .classify import _is_ade_up_to_orientation
 from .errors import (
     InvalidParameters,
     InvariantViolation,
     NotCore,
     NotInCatalog,
-    NotPrime,
     WeightMismatch,
 )
 from .link_model import (
@@ -42,7 +41,13 @@ from .link_model import (
     components,
     normalize,
 )
-from .orbifold import FiniteGroupTag, b_bar, finite_group
+from .orbifold import (
+    FiniteGroupTag,
+    _b_bar,
+    _finite_group,
+    _require_level,
+    _require_prime,
+)
 
 __all__ = [
     "CoverSpec",
@@ -90,8 +95,7 @@ class CoverSpec(Record):
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise InvalidParameters("branched-cover index n must be at least 2")
+        _require_level(self.n)
         for a in self.weights:
             if not 1 <= a <= self.n - 1:
                 raise InvalidParameters(
@@ -104,26 +108,29 @@ class CoverSpec(Record):
 
 
 def _require_core(link: SeifertLink) -> SeifertLink:
-    link = normalize(link)
     if isinstance(link, HopfSum):
         raise NotCore("this operation needs a core presentation, not a Hopf sum")
     return link
 
 
-def _check_weights(link: SeifertLink, spec: CoverSpec) -> None:
-    expected = components(link)
+def _require_weighted_core(link: SeifertLink, spec: CoverSpec) -> SeifertLink:
+    """The canonical `link`, once it has cores and one weight per component."""
+    expected = components(_require_core(link))
     if len(spec.weights) != expected:
         raise WeightMismatch(
             f"expected {expected} weights, got {len(spec.weights)}"
         )
+    return link
 
 
 def canonical_weights(link: SeifertLink, n: int) -> CoverSpec:
     """The weights of the canonical n-fold cover of the link as oriented:
     1 on positively oriented components, n-1 on reversed ones."""
-    link = _require_core(link)
-    if n < 2:
-        raise InvalidParameters("branched-cover index n must be at least 2")
+    _require_level(n)
+    return _canonical_weights(_require_core(normalize(link)), n)
+
+
+def _canonical_weights(link: SeifertLink, n: int) -> CoverSpec:
     positives = (link.k + link.w) // 2
     weights = [1] * positives + [n - 1] * (link.k - positives)
     if isinstance(link, OneCore):
@@ -150,24 +157,27 @@ def jn_data(link: SeifertLink, spec: CoverSpec) -> JNData:
     contributes weight/(n m); an unbranched exceptional fibre of
     multiplicity m > 1 contributes the background angle 1/m.
     """
-    link = _require_core(link)
-    _check_weights(link, spec)
+    return _jn_data(_require_weighted_core(normalize(link), spec), spec)
+
+
+def _jn_data(link: SeifertLink, spec: CoverSpec) -> JNData:
     n = spec.n
-    thetas = [Fraction(spec.weights[i], n) for i in range(link.k)]
+    # (numerator, denominator) of each angle
+    angles = [(spec.weights[i], n) for i in range(link.k)]
     if isinstance(link, ZeroCore):
-        if link.q > 1:
-            thetas.append(Fraction(1, link.q))
-        if link.p > 1:
-            thetas.append(Fraction(1, link.p))
+        angles += [(1, m) for m in (link.q, link.p) if m > 1]
     elif isinstance(link, OneCore):
-        thetas.append(Fraction(spec.weights[link.k], n * link.q))
+        angles.append((spec.weights[link.k], n * link.q))
         if link.p > 1:
-            thetas.append(Fraction(1, link.p))
+            angles.append((1, link.p))
     else:
-        thetas.append(Fraction(spec.weights[link.k], n * link.q))
-        thetas.append(Fraction(spec.weights[link.k + 1], n * link.p))
-    total = sum(thetas, start=Fraction(0))
-    return JNData(tuple(thetas), total, len(thetas))
+        angles.append((spec.weights[link.k], n * link.q))
+        angles.append((spec.weights[link.k + 1], n * link.p))
+    # Every denominator divides n*p*q: sum the numerators over it.
+    common = n * link.p * link.q
+    sigma = Fraction(sum(a * (common // d) for a, d in angles), common)
+    thetas = tuple(Fraction(a, d) for a, d in angles)
+    return JNData(thetas, sigma, len(thetas))
 
 
 def jn_lo_sufficient(data: JNData) -> bool:
@@ -201,9 +211,11 @@ def nlo_seifert_invariants(link: SeifertLink, n: int) -> SeifertInvariants:
     Only the three catalogued families admit this certificate; any other
     pair raises NotInCatalog.
     """
-    if n < 2:
-        raise InvalidParameters("branched-cover index n must be at least 2")
-    link = normalize(link)
+    _require_level(n)
+    return _nlo_seifert_invariants(normalize(link), n)
+
+
+def _nlo_seifert_invariants(link: SeifertLink, n: int) -> SeifertInvariants:
     if (
         isinstance(link, ZeroCore)
         and (link.p, link.q, link.k, link.w) == (1, 1, 3, 1)
@@ -294,19 +306,23 @@ def general_psi_lo(
     reflection, and (when the weights describe a canonical cover of a
     reorientation) the cyclotomic Betti-number witness.
     """
-    link = _require_core(link)
-    _check_weights(link, spec)
-    if b_bar(link, 2).chi <= 0:
+    return _general_psi_lo(_require_weighted_core(normalize(link), spec), spec)
+
+
+def _general_psi_lo(
+    link: SeifertLink, spec: CoverSpec
+) -> Union[LO, Inconclusive]:
+    if _b_bar(link, 2).chi <= 0:
         return LO(Catalog(CATALOG_NONPOSITIVE_CHI))
-    data = jn_data(link, spec)
+    data = _jn_data(link, spec)
     if jn_lo_sufficient(data):
         return LO(PSL2R_Rep(data))
-    reflected = jn_data(link, spec.reflected())
+    reflected = _jn_data(link, spec.reflected())
     if jn_lo_sufficient(reflected):
         return LO(PSL2R_Rep(reflected))
     if all(a in (1, spec.n - 1) for a in spec.weights):
         reoriented = _link_of_weights(link, spec)
-        if cyclotomic_divides(spec.n, reoriented):
+        if _cyclotomic_divides(spec.n, reoriented):
             return LO(PositiveBetti(spec.n))
     return Inconclusive()
 
@@ -358,15 +374,16 @@ def _star_by_representation(
     link: SeifertLink, n: int, betti_first: bool
 ) -> StarStatus:
     """A Star verdict with the strongest witness available."""
-    if betti_first and cyclotomic_divides(n, link):
+    if betti_first and _cyclotomic_divides(n, link):
         return StarStatus(True, PositiveBetti(n))
-    data = jn_data(link, canonical_weights(link, n))
+    spec = _canonical_weights(link, n)
+    data = _jn_data(link, spec)
     if jn_lo_sufficient(data):
         return StarStatus(True, PSL2R_Rep(data))
-    reflected = jn_data(link, canonical_weights(link, n).reflected())
+    reflected = _jn_data(link, spec.reflected())
     if jn_lo_sufficient(reflected):
         return StarStatus(True, PSL2R_Rep(reflected))
-    if not betti_first and cyclotomic_divides(n, link):
+    if not betti_first and _cyclotomic_divides(n, link):
         return StarStatus(True, PositiveBetti(n))
     return StarStatus(True, Catalog(CATALOG_HOROFOLIATION))
 
@@ -393,22 +410,25 @@ def canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
     at every index; the remaining links fail up to a type-dependent
     bound and are left-orderable beyond it.
     """
-    if n < 2:
-        raise InvalidParameters("branched-cover index n must be at least 2")
-    link = normalize(link)
+    _require_level(n)
+    link = _require_prime(
+        normalize(link), "star status is defined for prime links only"
+    )
+    return _canonical_star_status(link, n)
+
+
+def _canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
     if isinstance(link, HopfSum):
-        if link.plus + link.minus >= 2:
-            raise NotPrime("star status is defined for prime links only")
-        group = finite_group(link, n)
+        group = _finite_group(link, n)
         if group is None:
             raise InvariantViolation(f"infinite group for {link!r} at n={n}")
         return StarStatus(False, FinitePi1(group))
 
-    if not is_ade_up_to_orientation(link):
+    if not _is_ade_up_to_orientation(link):
         return _star_by_representation(link, n, betti_first=False)
 
     if isinstance(link, ZeroCore) and (link.p, link.k, link.w) == (1, 2, 0):
-        group = finite_group(link, n)
+        group = _finite_group(link, n)
         if group is not None:
             return StarStatus(False, FinitePi1(group))
         return StarStatus(False, Catalog(CATALOG_TWO_BRIDGE))
@@ -421,19 +441,19 @@ def canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
     ) == (1, 2, 0, 1)
     if balanced_pretzel or reversed_even_pretzel:
         if n == 2:
-            group = finite_group(link, 2)
+            group = _finite_group(link, 2)
             if group is None:
                 raise InvariantViolation(f"infinite group for {link!r} at n=2")
             return StarStatus(False, FinitePi1(group))
         return StarStatus(
-            False, NoCTF_SeifertObstruction(nlo_seifert_invariants(link, n))
+            False, NoCTF_SeifertObstruction(_nlo_seifert_invariants(link, n))
         )
 
     if n <= _not_star_bound(link):
-        group = finite_group(link, n)
+        group = _finite_group(link, n)
         if group is not None:
             return StarStatus(False, FinitePi1(group))
         return StarStatus(
-            False, NoCTF_SeifertObstruction(nlo_seifert_invariants(link, n))
+            False, NoCTF_SeifertObstruction(_nlo_seifert_invariants(link, n))
         )
     return _star_by_representation(link, n, betti_first=True)

@@ -16,8 +16,9 @@ fibration minus number against it), and each sign records the orientation
 of an included core circle.
 
 Different parameter tuples can denote the same oriented link.  `normalize`
-rewrites any valid tuple to the unique canonical representative; all other
-modules in the package expect (and defensively apply) that normal form.
+rewrites any valid tuple to the unique canonical representative.  Every
+public function of the package applies it once to its argument; the
+private bodies behind them take links already in that normal form.
 """
 
 from __future__ import annotations
@@ -319,7 +320,10 @@ class LinkAlias(Record):
 
 def alias(link: SeifertLink) -> Optional[LinkAlias]:
     """The catalogued torus/pretzel name of `link`, if it has one."""
-    link = normalize(link)
+    return _alias(normalize(link))
+
+
+def _alias(link: SeifertLink) -> Optional[LinkAlias]:
     if isinstance(link, HopfSum):
         if (link.plus, link.minus) == (1, 0):
             return LinkAlias("T(2,2)", "torus", (2, 2))
@@ -367,6 +371,10 @@ def alias_to_link(name: str) -> SeifertLink:
 
     Raises UnknownAlias when the name matches no catalogued link.
     """
+    return normalize(_alias_to_raw_link(name))
+
+
+def _alias_to_raw_link(name: str) -> SeifertLink:
     compact = "".join(name.split())
     match = _ALIAS_SHAPE.match(compact)
     if not match:
@@ -380,7 +388,7 @@ def alias_to_link(name: str) -> SeifertLink:
     resolved = _resolve_alias(base, args, primes)
     if resolved is None:
         raise UnknownAlias(f"no catalogued link is named {compact!r}")
-    return normalize(resolved)
+    return resolved
 
 
 def _resolve_alias(
@@ -433,11 +441,17 @@ def reorient_to_P(link: SeifertLink) -> SeifertLink:
     The result is the canonical form of the same underlying unoriented
     link with w = k and positive core signs.
     """
-    link = normalize(link)
+    return _reorient_to_P(normalize(link))
+
+
+def _reorient_to_P(link: SeifertLink) -> SeifertLink:
     if isinstance(link, HopfSum):
         return HopfSum(link.plus + link.minus, 0)
     if isinstance(link, ZeroCore):
-        return normalize(ZeroCore(link.p, link.q, link.k, link.k))
-    if isinstance(link, OneCore):
-        return normalize(OneCore(link.p, link.q, link.k, link.k, 1))
-    return normalize(TwoCore(link.p, link.q, link.k, link.k, 1, 1))
+        fresh = ZeroCore(link.p, link.q, link.k, link.k)
+    elif isinstance(link, OneCore):
+        fresh = OneCore(link.p, link.q, link.k, link.k, 1)
+    else:
+        fresh = TwoCore(link.p, link.q, link.k, link.k, 1, 1)
+    # A canonical link that is already positive is its own reorientation.
+    return link if fresh == link else normalize(fresh)

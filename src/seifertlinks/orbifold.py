@@ -14,15 +14,16 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from ._record import Record
-from .classify import DynkinType, is_ade
+from .classify import DynkinType, _is_ade, _is_prime
 from .errors import InvalidParameters, InvariantViolation, NotPrime
 from .link_model import (
     HopfSum,
     OneCore,
     SeifertLink,
+    TwoCore,
     ZeroCore,
+    _reorient_to_P,
     normalize,
-    reorient_to_P,
 )
 
 __all__ = [
@@ -60,11 +61,11 @@ class ConeOrbifold(Record):
 
     @property
     def chi(self) -> Fraction:
-        """Orbifold Euler characteristic 2 - sum(1 - 1/a)."""
-        return Fraction(2) - sum(
-            (Fraction(1) - Fraction(1, a) for a in self.cone_orders),
-            start=Fraction(0),
-        )
+        """Orbifold Euler characteristic 2 - sum(1 - 1/a), summed in
+        integers over the lcm L of the orders: (2L - sum(L - L/a)) / L."""
+        lcm = math.lcm(*self.cone_orders)
+        deficit = sum(lcm - lcm // a for a in self.cone_orders)
+        return Fraction(2 * lcm - deficit, lcm)
 
     @property
     def geometry(self) -> str:
@@ -84,38 +85,19 @@ class ConeOrbifold(Record):
         return self.render()
 
 
-def _require_prime_level(link: SeifertLink, n: int) -> SeifertLink:
+def _require_level(n: int) -> None:
     if n < 2:
         raise InvalidParameters("branched-cover index n must be at least 2")
-    link = normalize(link)
-    if isinstance(link, HopfSum) and link.plus + link.minus >= 2:
-        raise NotPrime("branched-cover analysis applies to prime links only")
+
+
+def _require_prime(
+    link: SeifertLink,
+    message: str = "branched-cover analysis applies to prime links only",
+) -> SeifertLink:
+    """The canonical `link` itself, once it is known to be prime."""
+    if not _is_prime(link):
+        raise NotPrime(message)
     return link
-
-
-def _core_parameters(link: SeifertLink) -> tuple[int, int, int, int]:
-    """(p, q, k, s) with s the total fibre winding of the link.
-
-    The prime Hopf link enters through its coreless presentation with
-    p = q = 1 and two positively oriented copies.
-    """
-    if isinstance(link, HopfSum):
-        return 1, 1, 2, 2
-    if isinstance(link, ZeroCore):
-        return link.p, link.q, link.k, link.w * link.p * link.q
-    if isinstance(link, OneCore):
-        return (
-            link.p,
-            link.q,
-            link.k,
-            link.w * link.p * link.q + link.sign * link.p,
-        )
-    return (
-        link.p,
-        link.q,
-        link.k,
-        link.w * link.p * link.q + link.sign1 * link.p + link.sign2 * link.q,
-    )
 
 
 def b_bar(link: SeifertLink, n: int) -> ConeOrbifold:
@@ -125,7 +107,11 @@ def b_bar(link: SeifertLink, n: int) -> ConeOrbifold:
     fibres contribute their multiplicities, amplified by n when the
     corresponding core is part of the link.
     """
-    link = _require_prime_level(link, n)
+    _require_level(n)
+    return _b_bar(_require_prime(normalize(link)), n)
+
+
+def _b_bar(link: SeifertLink, n: int) -> ConeOrbifold:
     if isinstance(link, HopfSum):
         return ConeOrbifold.build((n, n))
     orders = [n] * link.k
@@ -152,8 +138,18 @@ class FibreCoverData(Record):
 
 
 def fibre_data(link: SeifertLink, n: int) -> FibreCoverData:
-    link = _require_prime_level(link, n)
-    _, _, _, s = _core_parameters(link)
+    _require_level(n)
+    return _fibre_data(_require_prime(normalize(link)), n)
+
+
+def _fibre_data(link: SeifertLink, n: int) -> FibreCoverData:
+    # The prime Hopf link enters through its coreless presentation with
+    # p = q = 1 and two positively oriented copies.
+    s = 2 if isinstance(link, HopfSum) else link.w * link.p * link.q
+    if isinstance(link, OneCore):
+        s += link.sign * link.p
+    elif isinstance(link, TwoCore):
+        s += link.sign1 * link.p + link.sign2 * link.q
     r = n // math.gcd(n, s % n)
     return FibreCoverData(s=s, r=r, cover_degree=n // r)
 
@@ -294,12 +290,16 @@ def finite_group(link: SeifertLink, n: int) -> Optional[FiniteGroupTag]:
     the torus-link cases, lens-space bases give cyclic groups, and the
     one genuinely unidentified case is reported as such.
     """
-    link = _require_prime_level(link, n)
-    base = b_bar(link, n)
+    _require_level(n)
+    return _finite_group(_require_prime(normalize(link)), n)
+
+
+def _finite_group(link: SeifertLink, n: int) -> Optional[FiniteGroupTag]:
+    base = _b_bar(link, n)
     if base.chi <= 0:
         return None
     if n == 2:
-        dynkin = is_ade(reorient_to_P(link))
+        dynkin = _is_ade(_reorient_to_P(link))
         if dynkin is None:
             raise InvariantViolation(f"spherical double cover of non-ADE {link!r}")
         return _two_fold_group(dynkin)

@@ -294,6 +294,17 @@ def test_criterion_08_chi_monotone_with_unique_euclidean_level(grid):
         assert sum(1 for chi in values if chi == 0) <= 1, link
 
 
+def test_chi_matches_the_fraction_sum_on_the_grid(grid):
+    # The orbifold sums chi in integers over the lcm of the cone orders;
+    # `chi_of_cones` is the plain sum of Fractions.
+    for link in grid:
+        if not is_prime(link):
+            continue
+        for n in range(2, 61):
+            base = b_bar(link, n)
+            assert base.chi == chi_of_cones(base.cone_orders), (link, n)
+
+
 def test_criterion_09_rotation_sum_threshold():
     for q in range(3, 16, 2):
         link = OneCore(2, q, 1, 1, -1)

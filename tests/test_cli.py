@@ -342,7 +342,7 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     def boom(link):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(cli, "classification_report", boom)
+    monkeypatch.setattr(cli, "_classification_report", boom)
     assert main(["classify", "T(2,3)"]) == 3
     assert capsys.readouterr().err == "internal error: synthetic failure\n"
 
@@ -350,7 +350,7 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
         raise MemoryError()
 
     # An exception without a message is reported by its class name.
-    monkeypatch.setattr(cli, "classification_report", exhausted)
+    monkeypatch.setattr(cli, "_classification_report", exhausted)
     assert main(["classify", "T(2,3)"]) == 3
     assert capsys.readouterr().err == "internal error: MemoryError\n"
 
@@ -386,6 +386,16 @@ def test_large_inputs_answer_in_bounded_time(capsys, argv, key, expected):
     payload = run_json(capsys, argv + ["--json"])
     assert time.process_time() - start < 5
     assert payload[key] == expected
+
+
+def test_cover_with_a_huge_index_keeps_the_exact_chi(capsys):
+    assert main(["cover", "T(2,3)", "--n", "99999999999999999999"]) == 0
+    rows = dict(
+        line.split(None, 1) for line in capsys.readouterr().out.splitlines()
+    )
+    assert rows["chi"] == (
+        "-33333333333333333331/199999999999999999998  (hyperbolic)"
+    )
 
 
 def test_broken_invariant_exits_3(capsys, monkeypatch):

@@ -74,6 +74,25 @@ def test_canonical_weights_rejections():
         canonical_weights(ZeroCore(2, 3, 1, 1), 1)
 
 
+def test_cover_index_is_checked_before_the_link():
+    # n < 2 is reported first, whatever is wrong with the link, and each
+    # check keeps its own error type and message.
+    bad_index = "branched-cover index n must be at least 2"
+    for link in (HopfSum(1, 0), HopfSum(2, 1), ZeroCore(2, 4, 1, 1)):
+        for check in (
+            canonical_weights,
+            canonical_star_status,
+            nlo_seifert_invariants,
+            b_bar,
+        ):
+            with pytest.raises(InvalidParameters, match=bad_index):
+                check(link, 1)
+    with pytest.raises(NotCore, match="needs a core presentation"):
+        canonical_weights(HopfSum(1, 0), 3)
+    with pytest.raises(NotPrime, match="star status is defined for prime"):
+        canonical_star_status(HopfSum(2, 1), 3)
+
+
 def test_weight_count_must_match_components():
     with pytest.raises(WeightMismatch):
         jn_data(OneCore(2, 3, 1, 1, -1), CoverSpec(3, (1, 2, 1)))
@@ -100,6 +119,19 @@ def test_jn_data_examples():
     data = jn_data(ZeroCore(2, 3, 1, 1), CoverSpec(5, (1,)))
     assert data.sigma == Fraction(31, 30) and data.r == 3
     assert not jn_lo_sufficient(data)
+
+
+def test_sigma_is_the_sum_of_the_thetas(grid):
+    # sigma is summed in integers over n*p*q; the angles stay Fractions.
+    for link in grid:
+        if isinstance(link, HopfSum):
+            continue
+        for n in range(2, 13):
+            spec = canonical_weights(link, n)
+            for weights in (spec, spec.reflected()):
+                data = jn_data(link, weights)
+                assert data.sigma == sum(data.thetas, start=Fraction(0))
+                assert data.r == len(data.thetas)
 
 
 def test_jn_sufficiency_thresholds():

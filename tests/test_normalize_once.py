@@ -1,0 +1,110 @@
+"""Every public call normalizes its link argument once.
+
+A public function validates and normalizes its argument, then hands the
+canonical link to private bodies that take it as it is.  The only other
+`normalize` calls are on links built fresh inside a call, such as the
+positive reorientation of a link outside P.  The tests count the calls
+in process by wrapping every module binding of `link_model.normalize`.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from seifertlinks import (
+    canonical_star_status,
+    classification_report,
+    in_P,
+    is_prime,
+    link_model,
+)
+from seifertlinks.cli import main
+
+
+@pytest.fixture
+def normalize_calls(monkeypatch):
+    """(argument, result) of every `normalize` call, in call order."""
+    original = link_model.normalize
+    calls = []
+
+    def counted(link):
+        calls.append((link, None))
+        result = original(link)
+        calls[-1] = (link, result)
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if name == "seifertlinks" or name.startswith("seifertlinks."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def renormalized(calls):
+    """Arguments of calls that were handed the result of an earlier call."""
+    results = []
+    again = []
+    for argument, result in calls:
+        if any(argument is earlier for earlier in results):
+            again.append(argument)
+        results.append(result)
+    return again
+
+
+IN_P = [
+    ["classify", "T(2,3)"],
+    ["classify", "L(2,3;1,1)", "--json"],
+    ["cover", "T(2,3)", "--n", "7"],
+    ["cover", "T(2,5)", "--n", "3", "--json"],
+    ["cover", "T(2,3)", "--n", "7", "--weights", "3"],
+]
+OUTSIDE_P = [
+    ["classify", "#1 H+ # 2 H-"],
+    ["classify", "L(2,3;2,0;+,-)"],
+    ["cover", "L(2,3;2,0;+,-)", "--n", "2"],
+    ["cover", "L(2,5;3,1;-)", "--n", "4", "--json"],
+    ["cover", "L(2,3;1,1;-)", "--n", "5", "--weights", "1,4"],
+]
+
+
+@pytest.mark.parametrize("argv", IN_P)
+def test_cli_commands_normalize_once(normalize_calls, capsys, argv):
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(normalize_calls) == 1
+
+
+@pytest.mark.parametrize("argv", IN_P + OUTSIDE_P)
+def test_cli_commands_never_renormalize(normalize_calls, capsys, argv):
+    # Outside P the verdicts reorient the link; only those fresh links
+    # are normalized after the first call.
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert not renormalized(normalize_calls)
+
+
+def test_star_status_normalizes_positive_links_once(grid, normalize_calls):
+    positive = [link for link in grid if is_prime(link) and in_P(link)]
+    assert len(positive) > 100
+    for link in positive:
+        for n in range(2, 13):
+            normalize_calls.clear()
+            canonical_star_status(link, n)
+            assert len(normalize_calls) == 1, (link, n)
+
+
+def test_no_call_renormalizes_a_canonical_link(grid, normalize_calls):
+    for link in grid:
+        normalize_calls.clear()
+        classification_report(link)
+        assert not renormalized(normalize_calls), link
+        if not is_prime(link):
+            continue
+        for n in range(2, 13):
+            normalize_calls.clear()
+            canonical_star_status(link, n)
+            assert normalize_calls[0][0] is link, (link, n)
+            assert not renormalized(normalize_calls), (link, n)

@@ -55,6 +55,17 @@ def test_chi_values():
     assert ConeOrbifold.build([7, 7, 14]).chi == Fraction(-9, 14)
     assert ConeOrbifold.build([4, 4]).chi == Fraction(1, 2)
     assert ConeOrbifold.build([]).chi == Fraction(2)
+    # Huge orders (10**20 - 1 is a multiple of 3), three pairwise-coprime
+    # ones whose lcm is their product, and [6, 10, 15], whose lcm 30 is
+    # far below the product.
+    huge = 10**20 - 1
+    assert ConeOrbifold.build([2, 3, huge]).chi == (
+        Fraction(-1, 6) + Fraction(1, huge)
+    )
+    assert ConeOrbifold.build([huge, huge + 1, huge + 2]).chi == (
+        -1 + Fraction(1, huge) + Fraction(1, huge + 1) + Fraction(1, huge + 2)
+    )
+    assert ConeOrbifold.build([6, 10, 15]).chi == Fraction(-2, 3)
 
 
 def test_geometry_by_sign():
