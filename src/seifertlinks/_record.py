@@ -1,4 +1,5 @@
-"""Immutable value records: the one base class of the package's value types.
+"""Immutable value records: the one base class of the package's value types,
+and the `Row` lists that the command-line output is built from.
 
 A subclass lists its fields as class annotations, in order, and gets what
 a frozen dataclass would give it: positional and keyword construction
@@ -17,7 +18,7 @@ record may define a direct `__init__` that stores its fields the same way.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, NamedTuple, Optional, TypeVar
 
 R = TypeVar("R", bound="Record")
 
@@ -100,3 +101,15 @@ def replace(record: R, **changes: Any) -> R:
     """A copy of `record` with the given fields changed."""
     values = dict(zip(record._fields, record._values(record)))
     return type(record)(**{**values, **changes})
+
+
+# Each command output is one record: ordered rows of (JSON key, JSON value,
+# text label, text value).  A row without a key is printed only as text,
+# a row without a label only in JSON; both formats keep the row order.
+
+
+class Row(NamedTuple):
+    key: Optional[str]
+    value: Any
+    label: Optional[str] = None
+    text: Optional[str] = None  # when None, the text form of the value

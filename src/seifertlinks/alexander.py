@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Optional
 
-from .errors import InvariantViolation
+from .errors import InvalidParameters, InvariantViolation
 from .laurent import LaurentPoly
 from .link_model import (
     HopfSum,
@@ -170,7 +170,7 @@ def cyclotomic_divides(n: int, link: SeifertLink) -> bool:
 
     Read off the exponents: see `_cyclotomic_count`."""
     if n < 1:
-        raise ValueError("cyclotomic index must be a positive integer")
+        raise InvalidParameters("cyclotomic index must be a positive integer")
     return _cyclotomic_divides(n, normalize(link))
 
 

@@ -11,7 +11,7 @@ from typing import Optional, Union
 
 from ._record import Record
 from .alexander import _genus
-from .errors import NotPrime
+from .errors import InvalidParameters, NotPrime
 from .link_model import (
     HopfSum,
     OneCore,
@@ -56,7 +56,7 @@ class DynkinType(Record):
             or (self.family == "E" and self.index in (6, 7, 8))
         )
         if not valid:
-            raise ValueError(f"no Dynkin type {self.family}{self.index}")
+            raise InvalidParameters(f"no Dynkin type {self.family}{self.index}")
 
     def __str__(self) -> str:
         return f"{self.family}{self.index}"

@@ -12,9 +12,10 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Optional
 
 from . import tables
+from ._record import Row
 from .alexander import _delta, _determinant
 from .classify import (
     DynkinType,
@@ -186,16 +187,7 @@ def parse_link(text: str) -> SeifertLink:
 
 # -- records -------------------------------------------------------------------
 #
-# Each command builds one record: ordered rows of (JSON key, JSON value,
-# text label, text value).  A row without a key is printed only as text,
-# a row without a label only in JSON; both formats keep the row order.
-
-
-class Row(NamedTuple):
-    key: Optional[str]
-    value: Any
-    label: Optional[str] = None
-    text: Optional[str] = None  # when None, the text form of the value
+# Each command builds one `Row` list (see `_record`).
 
 
 _KINDS = {
@@ -443,64 +435,8 @@ def _print_columns(header: list[str], rows: list[list[str]]) -> None:
         print(fmt(row))
 
 
-def _family_cells(row: Any) -> list[Row]:
-    return [
-        Row("n", row.n, "n"),
-        Row("family", row.family, "family"),
-        Row("instances", row.instances),
-        Row("base", row.base.cone_orders, "base", row.base.render()),
-        Row("reoriented", row.reoriented, "reoriented"),
-    ]
-
-
-def _status_cells(row: tables.StatusRow) -> list[Row]:
-    levels = range(row.first_n, row.first_n + len(row.statuses))
-    statuses = list(zip(levels, row.statuses))
-    return [
-        Row("link", row.link, "link"),
-        Row("alias", row.alias_name, "alias"),
-        Row(
-            "statuses",
-            [
-                {"n": n, "verdict": status.verdict, "evidence": status.evidence}
-                for n, status in statuses
-            ],
-        ),
-    ] + [
-        Row(None, None, f"n={n}", "*" if status.star else "x")
-        for n, status in statuses
-    ]
-
-
-# One column spec per table: the record of one row, whose labels are the
-# column headers of the text table.
-_TABLE_COLUMNS: dict[str, Callable[[Any], list[Row]]] = {
-    "ade-2fold": lambda row: [
-        Row("dynkin", row.dynkin, "type"),
-        Row("link", row.link, "link"),
-        Row("alias", row.alias_name, "alias"),
-        Row("group", row.group, "pi1(Sigma_2)"),
-        Row(None, row.group.group_order, "order"),
-        Row("determinant", row.determinant, "det"),
-    ],
-    "spherical": lambda row: _family_cells(row)
-    + [Row("dynkin", row.dynkin, "type")],
-    "euclidean": lambda row: _family_cells(row)
-    + [Row("betti_positive", row.betti_positive, "betti>0")],
-    "higher-finite": lambda row: [
-        Row("link", row.link, "link"),
-        Row("alias", row.alias_name, "alias"),
-        Row("n", row.n, "n"),
-        Row("group", row.group, "pi1"),
-        Row(None, row.group.group_order, "order"),
-    ],
-    "canonical-status": _status_cells,
-}
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
-    rows = tables.build_table(args.name)
-    records = [_TABLE_COLUMNS[args.name](row) for row in rows]
+    records = tables.build_table(args.name)
     if args.json:
         return _emit(
             [

@@ -306,16 +306,10 @@ def render(link: SeifertLink) -> str:
 
 
 class LinkAlias(Record):
-    """A conventional name for a catalogued link.
-
-    `family` is one of torus, torus-reoriented, pretzel,
-    pretzel-reoriented-1, pretzel-reoriented-2; `parameters` are the
-    numeric arguments appearing in the name.
-    """
+    """A conventional name for a catalogued link: a torus link T(a,b) or a
+    pretzel link P(-2,b,c), with one or two primes for a reorientation."""
 
     name: str
-    family: str
-    parameters: tuple[int, ...]
 
 
 def alias(link: SeifertLink) -> Optional[LinkAlias]:
@@ -326,39 +320,33 @@ def alias(link: SeifertLink) -> Optional[LinkAlias]:
 def _alias(link: SeifertLink) -> Optional[LinkAlias]:
     if isinstance(link, HopfSum):
         if (link.plus, link.minus) == (1, 0):
-            return LinkAlias("T(2,2)", "torus", (2, 2))
+            return LinkAlias("T(2,2)")
         return None
     if isinstance(link, ZeroCore):
         if link.w == link.k:
             a, b = link.k * link.p, link.k * link.q
-            return LinkAlias(f"T({a},{b})", "torus", (a, b))
+            return LinkAlias(f"T({a},{b})")
         if (link.p, link.k, link.w) == (1, 2, 0):
-            return LinkAlias(
-                f"T(2,{2 * link.q})'", "torus-reoriented", (2, 2 * link.q)
-            )
+            return LinkAlias(f"T(2,{2 * link.q})'")
         if (link.p, link.q, link.k, link.w) == (1, 1, 3, 1):
-            return LinkAlias("P(-2,2,2)'", "pretzel-reoriented-1", (-2, 2, 2))
+            return LinkAlias("P(-2,2,2)'")
         return None
     if isinstance(link, OneCore):
         p, q, k, w, sign = link.p, link.q, link.k, link.w, link.sign
         if (p, k, w) == (2, 1, 1):
             if sign > 0:
-                return LinkAlias(f"P(-2,2,{q})", "pretzel", (-2, 2, q))
-            return LinkAlias(f"P(-2,2,{q})'", "pretzel-reoriented-1", (-2, 2, q))
+                return LinkAlias(f"P(-2,2,{q})")
+            return LinkAlias(f"P(-2,2,{q})'")
         if (p, k) == (1, 2) and w == 2:
             if sign > 0:
-                return LinkAlias(f"P(-2,2,{2 * q})", "pretzel", (-2, 2, 2 * q))
-            return LinkAlias(
-                f"P(-2,2,{2 * q})''", "pretzel-reoriented-2", (-2, 2, 2 * q)
-            )
+                return LinkAlias(f"P(-2,2,{2 * q})")
+            return LinkAlias(f"P(-2,2,{2 * q})''")
         if (p, k, w) == (1, 2, 0):
-            return LinkAlias(
-                f"P(-2,2,{2 * q})'", "pretzel-reoriented-1", (-2, 2, 2 * q)
-            )
+            return LinkAlias(f"P(-2,2,{2 * q})'")
         if (p, q, k, w) == (3, 2, 1, 1):
             if sign > 0:
-                return LinkAlias("P(-2,3,4)", "pretzel", (-2, 3, 4))
-            return LinkAlias("P(-2,3,4)'", "pretzel-reoriented-1", (-2, 3, 4))
+                return LinkAlias("P(-2,3,4)")
+            return LinkAlias("P(-2,3,4)'")
         return None
     return None
 

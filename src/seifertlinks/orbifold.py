@@ -5,13 +5,16 @@ class is a Seifert fibred space.  Its base is a 2-sphere with cone
 points whose orders depend only on (p, q, k, n); the orbifold Euler
 characteristic of that base decides finiteness of the fundamental group,
 and in the finite cases a short catalog identifies the group itself.
+Every finite group is one `FiniteGroupTag(label, group_order, h1_order)`
+record; `Cyclic(m)`, `BinaryDihedral(m)` and the other capitalized names
+are constructors of it, not classes.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from ._record import Record
 from .classify import DynkinType, _is_ade, _is_prime
@@ -157,107 +160,41 @@ def _fibre_data(link: SeifertLink, n: int) -> FibreCoverData:
 # -- identification of the finite groups --------------------------------------
 
 
-class Cyclic(Record):
-    order: int
+class FiniteGroupTag(Record):
+    """A finite fundamental group: its name, its order and the order of its
+    abelianization H_1.  Both orders are None for a group that is finite by
+    the Euler-characteristic test but outside the catalog of groups this
+    package identifies by name."""
 
-    @property
-    def label(self) -> str:
-        return f"Z/{self.order}"
-
-    @property
-    def group_order(self) -> Optional[int]:
-        return self.order
-
-    @property
-    def h1_order(self) -> Optional[int]:
-        return self.order
+    label: str
+    group_order: Optional[int]
+    h1_order: Optional[int]
 
 
-class BinaryDihedral(Record):
-    index: int
-
-    @property
-    def label(self) -> str:
-        return f"D*_{self.index}"
-
-    @property
-    def group_order(self) -> Optional[int]:
-        return 4 * self.index
-
-    @property
-    def h1_order(self) -> Optional[int]:
-        return 4
+def Cyclic(m: int) -> FiniteGroupTag:
+    return FiniteGroupTag(f"Z/{m}", m, m)
 
 
-class BinaryTetrahedral(Record):
-    @property
-    def label(self) -> str:
-        return "T*"
-
-    @property
-    def group_order(self) -> Optional[int]:
-        return 24
-
-    @property
-    def h1_order(self) -> Optional[int]:
-        return 3
+def BinaryDihedral(m: int) -> FiniteGroupTag:
+    return FiniteGroupTag(f"D*_{m}", 4 * m, 4)
 
 
-class BinaryOctahedral(Record):
-    @property
-    def label(self) -> str:
-        return "O*"
-
-    @property
-    def group_order(self) -> Optional[int]:
-        return 48
-
-    @property
-    def h1_order(self) -> Optional[int]:
-        return 2
+def BinaryTetrahedral() -> FiniteGroupTag:
+    return FiniteGroupTag("T*", 24, 3)
 
 
-class BinaryIcosahedral(Record):
-    @property
-    def label(self) -> str:
-        return "I*"
-
-    @property
-    def group_order(self) -> Optional[int]:
-        return 120
-
-    @property
-    def h1_order(self) -> Optional[int]:
-        return 1
+def BinaryOctahedral() -> FiniteGroupTag:
+    return FiniteGroupTag("O*", 48, 2)
 
 
-class FiniteUnidentified(Record):
-    """Finite by the Euler-characteristic test, but outside the catalog
-    of groups this package identifies by name."""
-
-    orbifold: ConeOrbifold
-
-    @property
-    def label(self) -> str:
-        return f"finite central extension over {self.orbifold.render()}"
-
-    @property
-    def group_order(self) -> Optional[int]:
-        return None
-
-    @property
-    def h1_order(self) -> Optional[int]:
-        return None
+def BinaryIcosahedral() -> FiniteGroupTag:
+    return FiniteGroupTag("I*", 120, 1)
 
 
-FiniteGroupTag = Union[
-    Cyclic,
-    BinaryDihedral,
-    BinaryTetrahedral,
-    BinaryOctahedral,
-    BinaryIcosahedral,
-    FiniteUnidentified,
-]
+def FiniteUnidentified(orbifold: ConeOrbifold) -> FiniteGroupTag:
+    return FiniteGroupTag(
+        f"finite central extension over {orbifold.render()}", None, None
+    )
 
 
 def _two_fold_group(dynkin: DynkinType) -> FiniteGroupTag:
@@ -266,10 +203,10 @@ def _two_fold_group(dynkin: DynkinType) -> FiniteGroupTag:
     if dynkin.family == "D":
         return BinaryDihedral(dynkin.index - 2)
     return {
-        6: BinaryTetrahedral(),
-        7: BinaryOctahedral(),
-        8: BinaryIcosahedral(),
-    }[dynkin.index]
+        6: BinaryTetrahedral,
+        7: BinaryOctahedral,
+        8: BinaryIcosahedral,
+    }[dynkin.index]()
 
 
 _HIGHER_COVER_GROUPS: dict[tuple[SeifertLink, int], FiniteGroupTag] = {

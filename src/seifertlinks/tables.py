@@ -1,37 +1,33 @@
 """Generated reference tables backing the `table` CLI subcommand.
 
 Each builder enumerates a family of links, runs the relevant library
-operations, and returns structured rows.  Nothing here is frozen data:
-the tables are recomputed on every call, so they stay consistent with
-the library by construction.  The test suite compares them against
-independently frozen expectations.
+operations, and returns one `Row` list per table row: the record the CLI
+prints, whose labels are the column headers of the text table.  Nothing
+here is frozen data: the tables are recomputed on every call, so they stay
+consistent with the library by construction.  Every candidate link is
+normalized once, and the builders call the private bodies of the library
+functions on the canonical links.  The test suite compares the tables
+against independently frozen expectations.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ._record import Record
-from .alexander import cyclotomic_divides, determinant
-from .classify import DynkinType, ade_link, is_ade
-from .cover import StarStatus, canonical_star_status
+from ._record import Row
+from .alexander import _cyclotomic_divides, _determinant
+from .classify import DynkinType, _is_ade, ade_link
+from .cover import _canonical_star_status
 from .errors import InvariantViolation, UnknownTable
 from .link_model import (
     OneCore,
     SeifertLink,
     ZeroCore,
-    alias,
+    _alias,
+    _reorient_to_P,
     normalize,
-    reorient_to_P,
 )
-from .orbifold import ConeOrbifold, FiniteGroupTag, b_bar, finite_group
+from .orbifold import _b_bar, _finite_group
 
 __all__ = [
-    "AdeTwoFoldRow",
-    "SphericalRow",
-    "EuclideanRow",
-    "HigherFiniteRow",
-    "StatusRow",
     "ade_two_fold_rows",
     "spherical_rows",
     "euclidean_rows",
@@ -41,10 +37,12 @@ __all__ = [
     "build_table",
 ]
 
+Table = tuple[list[Row], ...]
 
-def _alias_name(link: SeifertLink) -> Optional[str]:
-    found = alias(link)
-    return found.name if found else None
+
+def _alias_row(link: SeifertLink) -> Row:
+    found = _alias(link)
+    return Row("alias", found.name if found else None, "alias")
 
 
 def _dedupe(links: list[SeifertLink]) -> tuple[SeifertLink, ...]:
@@ -56,77 +54,72 @@ def _dedupe(links: list[SeifertLink]) -> tuple[SeifertLink, ...]:
     return tuple(seen)
 
 
-class AdeTwoFoldRow(Record):
-    """One simply laced type with its link and double-cover data."""
-
-    dynkin: DynkinType
-    link: SeifertLink
-    alias_name: Optional[str]
-    group: FiniteGroupTag
-    determinant: int
-
-
-def ade_two_fold_rows(max_index: int = 12) -> tuple[AdeTwoFoldRow, ...]:
+def _ade_types(max_index: int) -> list[DynkinType]:
     types = [DynkinType("A", m) for m in range(1, max_index + 1)]
     types += [DynkinType("D", m) for m in range(4, max_index + 1)]
-    types += [DynkinType("E", m) for m in (6, 7, 8)]
+    return types + [DynkinType("E", m) for m in (6, 7, 8)]
+
+
+def ade_two_fold_rows(max_index: int = 12) -> Table:
+    """One row per simply laced type: its link and double-cover data."""
     rows = []
-    for dynkin in types:
+    for dynkin in _ade_types(max_index):
         link = normalize(ade_link(dynkin))
-        group = finite_group(link, 2)
+        group = _finite_group(link, 2)
         if group is None:
             raise InvariantViolation(f"infinite group for {link!r} at n=2")
         rows.append(
-            AdeTwoFoldRow(
-                dynkin=dynkin,
-                link=link,
-                alias_name=_alias_name(link),
-                group=group,
-                determinant=determinant(link),
-            )
+            [
+                Row("dynkin", dynkin, "type"),
+                Row("link", link, "link"),
+                _alias_row(link),
+                Row("group", group, "pi1(Sigma_2)"),
+                Row(None, group.group_order, "order"),
+                Row("determinant", _determinant(link), "det"),
+            ]
         )
     return tuple(rows)
 
 
-class SphericalRow(Record):
-    """A family whose n-fold cover base is spherical: the display text,
-    the concrete reorientations it covers, their common base orbifold,
-    the positively reoriented link, and its Dynkin type."""
-
-    n: int
-    family: str
-    instances: tuple[SeifertLink, ...]
-    base: ConeOrbifold
-    reoriented: SeifertLink
-    dynkin: DynkinType
-
-
 def _family_row(
     n: int, family: str, raw_instances: list[SeifertLink]
-) -> SphericalRow:
+) -> tuple[list[Row], SeifertLink]:
+    """The columns shared by the spherical and Euclidean tables: the level,
+    the display text, the concrete reorientations the family covers, their
+    common base orbifold and the positively reoriented link, which is
+    returned again for the table's own last column."""
     instances = _dedupe(raw_instances)
-    bases = {b_bar(link, n) for link in instances}
+    bases = {_b_bar(link, n) for link in instances}
     if len(bases) != 1:
         raise InvariantViolation(f"family {family} has mixed bases at n={n}")
-    reoriented = reorient_to_P(instances[0])
-    dynkin = is_ade(reoriented)
+    base = bases.pop()
+    reoriented = _reorient_to_P(instances[0])
+    return [
+        Row("n", n, "n"),
+        Row("family", family, "family"),
+        Row("instances", instances),
+        Row("base", base.cone_orders, "base", base.render()),
+        Row("reoriented", reoriented, "reoriented"),
+    ], reoriented
+
+
+def _spherical_row(
+    n: int, family: str, raw_instances: list[SeifertLink]
+) -> list[Row]:
+    """A family whose n-fold cover base is spherical, with the Dynkin type
+    of its reoriented link."""
+    row, reoriented = _family_row(n, family, raw_instances)
+    dynkin = _is_ade(reoriented)
     if dynkin is None:
         raise InvariantViolation(f"family {family} is not ADE up to orientation")
-    return SphericalRow(
-        n=n,
-        family=family,
-        instances=instances,
-        base=bases.pop(),
-        reoriented=reoriented,
-        dynkin=dynkin,
-    )
+    return row + [Row("dynkin", dynkin, "type")]
 
 
-def spherical_rows(max_q: int = 6) -> tuple[SphericalRow, ...]:
-    rows: list[SphericalRow] = []
+def spherical_rows(max_q: int = 6) -> Table:
+    rows: list[list[Row]] = []
 
-    def hopf_row(n: int) -> SphericalRow:
-        return _family_row(
+    def hopf_row(n: int) -> list[Row]:
+        return _spherical_row(
             n, "L(1,1;2,w)", [ZeroCore(1, 1, 2, 0), ZeroCore(1, 1, 2, 2)]
         )
 
@@ -134,15 +127,15 @@ def spherical_rows(max_q: int = 6) -> tuple[SphericalRow, ...]:
     rows.append(hopf_row(2))
     for q in range(2, max_q + 1):
         rows.append(
-            _family_row(
+            _spherical_row(
                 2, f"L(1,{q};2,w)", [ZeroCore(1, q, 2, w) for w in (0, 2)]
             )
         )
     for q in range(3, max_q + 1, 2):
-        rows.append(_family_row(2, f"L(2,{q};1,1)", [ZeroCore(2, q, 1, 1)]))
+        rows.append(_spherical_row(2, f"L(2,{q};1,1)", [ZeroCore(2, q, 1, 1)]))
     for q in range(1, max_q + 1):
         rows.append(
-            _family_row(
+            _spherical_row(
                 2,
                 f"L(1,{q};2,w;e)",
                 [
@@ -154,61 +147,43 @@ def spherical_rows(max_q: int = 6) -> tuple[SphericalRow, ...]:
         )
     for q in range(3, max_q + 1, 2):
         rows.append(
-            _family_row(
+            _spherical_row(
                 2, f"L(2,{q};1,1;e)", [OneCore(2, q, 1, 1, s) for s in (1, -1)]
             )
         )
-    rows.append(_family_row(2, "L(3,4;1,1)", [ZeroCore(3, 4, 1, 1)]))
+    rows.append(_spherical_row(2, "L(3,4;1,1)", [ZeroCore(3, 4, 1, 1)]))
     rows.append(
-        _family_row(2, "L(3,2;1,1;e)", [OneCore(3, 2, 1, 1, s) for s in (1, -1)])
+        _spherical_row(
+            2, "L(3,2;1,1;e)", [OneCore(3, 2, 1, 1, s) for s in (1, -1)]
+        )
     )
-    rows.append(_family_row(2, "L(3,5;1,1)", [ZeroCore(3, 5, 1, 1)]))
+    rows.append(_spherical_row(2, "L(3,5;1,1)", [ZeroCore(3, 5, 1, 1)]))
 
     # Higher levels stay spherical only for the shortest torus links.
     rows.append(hopf_row(3))
-    rows.append(_family_row(3, "L(2,3;1,1)", [ZeroCore(2, 3, 1, 1)]))
+    rows.append(_spherical_row(3, "L(2,3;1,1)", [ZeroCore(2, 3, 1, 1)]))
     rows.append(
-        _family_row(3, "L(1,2;2,w)", [ZeroCore(1, 2, 2, w) for w in (0, 2)])
+        _spherical_row(3, "L(1,2;2,w)", [ZeroCore(1, 2, 2, w) for w in (0, 2)])
     )
-    rows.append(_family_row(3, "L(2,5;1,1)", [ZeroCore(2, 5, 1, 1)]))
+    rows.append(_spherical_row(3, "L(2,5;1,1)", [ZeroCore(2, 5, 1, 1)]))
     rows.append(hopf_row(4))
-    rows.append(_family_row(4, "L(2,3;1,1)", [ZeroCore(2, 3, 1, 1)]))
+    rows.append(_spherical_row(4, "L(2,3;1,1)", [ZeroCore(2, 3, 1, 1)]))
     rows.append(hopf_row(5))
-    rows.append(_family_row(5, "L(2,3;1,1)", [ZeroCore(2, 3, 1, 1)]))
+    rows.append(_spherical_row(5, "L(2,3;1,1)", [ZeroCore(2, 3, 1, 1)]))
     return tuple(rows)
-
-
-class EuclideanRow(Record):
-    """A family whose n-fold cover base is Euclidean, with the
-    cyclotomic Betti-number witness for the reoriented link."""
-
-    n: int
-    family: str
-    instances: tuple[SeifertLink, ...]
-    base: ConeOrbifold
-    reoriented: SeifertLink
-    betti_positive: bool
 
 
 def _euclidean_row(
     n: int, family: str, raw_instances: list[SeifertLink]
-) -> EuclideanRow:
-    instances = _dedupe(raw_instances)
-    bases = {b_bar(link, n) for link in instances}
-    if len(bases) != 1:
-        raise InvariantViolation(f"family {family} has mixed bases at n={n}")
-    reoriented = reorient_to_P(instances[0])
-    return EuclideanRow(
-        n=n,
-        family=family,
-        instances=instances,
-        base=bases.pop(),
-        reoriented=reoriented,
-        betti_positive=cyclotomic_divides(n, reoriented),
-    )
+) -> list[Row]:
+    """A family whose n-fold cover base is Euclidean, with the
+    cyclotomic Betti-number witness for the reoriented link."""
+    row, reoriented = _family_row(n, family, raw_instances)
+    betti_positive = _cyclotomic_divides(n, reoriented)
+    return row + [Row("betti_positive", betti_positive, "betti>0")]
 
 
-def euclidean_rows() -> tuple[EuclideanRow, ...]:
+def euclidean_rows() -> Table:
     return (
         _euclidean_row(
             2, "L(1,2;3,w)", [ZeroCore(1, 2, 3, w) for w in (1, 3)]
@@ -229,58 +204,41 @@ def euclidean_rows() -> tuple[EuclideanRow, ...]:
     )
 
 
-class HigherFiniteRow(Record):
-    """A branched cover of index three or more with finite fundamental
-    group."""
-
-    link: SeifertLink
-    alias_name: Optional[str]
-    n: int
-    group: FiniteGroupTag
-
-
-def higher_finite_rows(max_n: int = 12) -> tuple[HigherFiniteRow, ...]:
-    candidates = [
-        normalize(ZeroCore(1, 1, 2, 2)),  # T(2,2)
-        ZeroCore(2, 3, 1, 1),
-        ZeroCore(1, 2, 2, 2),
-        ZeroCore(2, 5, 1, 1),
-    ]
+def higher_finite_rows(max_n: int = 12) -> Table:
+    """One row per branched cover of index three or more with finite
+    fundamental group."""
+    candidates = _dedupe(
+        [
+            ZeroCore(1, 1, 2, 2),  # T(2,2)
+            ZeroCore(2, 3, 1, 1),
+            ZeroCore(1, 2, 2, 2),
+            ZeroCore(2, 5, 1, 1),
+        ]
+    )
     rows = []
     for link in candidates:
+        alias_row = _alias_row(link)
         for n in range(3, max_n + 1):
-            group = finite_group(link, n)
+            group = _finite_group(link, n)
             if group is not None:
                 rows.append(
-                    HigherFiniteRow(
-                        link=link,
-                        alias_name=_alias_name(link),
-                        n=n,
-                        group=group,
-                    )
+                    [
+                        Row("link", link, "link"),
+                        alias_row,
+                        Row("n", n, "n"),
+                        Row("group", group, "pi1"),
+                        Row(None, group.group_order, "order"),
+                    ]
                 )
     return tuple(rows)
 
 
-class StatusRow(Record):
-    """Star/NotStar verdicts for one link across a range of cover levels."""
-
-    link: SeifertLink
-    alias_name: Optional[str]
-    first_n: int
-    statuses: tuple[StarStatus, ...]
-
-
 def canonical_status_rows(
     max_q: int = 6, max_index: int = 12, max_n: int = 12
-) -> tuple[StatusRow, ...]:
-    candidates: list[SeifertLink] = []
-    for m in range(1, max_index + 1):
-        candidates.append(ade_link(DynkinType("A", m)))
-    for m in range(4, max_index + 1):
-        candidates.append(ade_link(DynkinType("D", m)))
-    for m in (6, 7, 8):
-        candidates.append(ade_link(DynkinType("E", m)))
+) -> Table:
+    """One row per link: its Star/NotStar verdicts at the cover levels
+    2..max_n."""
+    candidates = [ade_link(dynkin) for dynkin in _ade_types(max_index)]
     candidates += [ZeroCore(1, q, 2, 0) for q in range(2, max_q + 1)]
     candidates.append(ZeroCore(1, 1, 3, 1))
     candidates += [OneCore(1, q, 2, 0, 1) for q in range(2, max_q + 1)]
@@ -289,39 +247,48 @@ def canonical_status_rows(
     candidates.append(OneCore(3, 2, 1, 1, -1))
     rows = []
     for link in _dedupe(candidates):
-        statuses = tuple(
-            canonical_star_status(link, n) for n in range(2, max_n + 1)
-        )
+        statuses = [
+            (n, _canonical_star_status(link, n)) for n in range(2, max_n + 1)
+        ]
         rows.append(
-            StatusRow(
-                link=link,
-                alias_name=_alias_name(link),
-                first_n=2,
-                statuses=statuses,
-            )
+            [
+                Row("link", link, "link"),
+                _alias_row(link),
+                Row(
+                    "statuses",
+                    [
+                        {
+                            "n": n,
+                            "verdict": status.verdict,
+                            "evidence": status.evidence,
+                        }
+                        for n, status in statuses
+                    ],
+                ),
+            ]
+            + [
+                Row(None, None, f"n={n}", "*" if status.star else "x")
+                for n, status in statuses
+            ]
         )
     return tuple(rows)
 
 
-TABLE_NAMES = (
-    "ade-2fold",
-    "spherical",
-    "euclidean",
-    "higher-finite",
-    "canonical-status",
-)
+_BUILDERS = {
+    "ade-2fold": ade_two_fold_rows,
+    "spherical": spherical_rows,
+    "euclidean": euclidean_rows,
+    "higher-finite": higher_finite_rows,
+    "canonical-status": canonical_status_rows,
+}
+
+TABLE_NAMES = tuple(_BUILDERS)
 
 
-def build_table(name: str):
-    """Rows of the named table; raises UnknownTable for anything else."""
-    builders = {
-        "ade-2fold": ade_two_fold_rows,
-        "spherical": spherical_rows,
-        "euclidean": euclidean_rows,
-        "higher-finite": higher_finite_rows,
-        "canonical-status": canonical_status_rows,
-    }
-    if name not in builders:
+def build_table(name: str) -> Table:
+    """The rows of the named table, each as the CLI's `Row` list; raises
+    UnknownTable for any other name."""
+    if name not in _BUILDERS:
         known = ", ".join(TABLE_NAMES)
         raise UnknownTable(f"unknown table {name!r}; available: {known}")
-    return builders[name]()
+    return _BUILDERS[name]()

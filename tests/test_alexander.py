@@ -22,6 +22,7 @@ from seifertlinks import (
     HopfSum,
     InvariantViolation,
     LaurentPoly,
+    LinkInputError,
     OneCore,
     TwoCore,
     ZeroCore,
@@ -230,6 +231,15 @@ def test_cyclotomic_divides_zero_polynomial():
     flat = ZeroCore(1, 2, 4, 0)
     assert delta(flat).is_zero
     assert all(cyclotomic_divides(n, flat) for n in range(1, 10))
+
+
+def test_bad_caller_input_is_a_link_input_error():
+    # Every rejection of caller data derives from LinkInputError.
+    with pytest.raises(LinkInputError, match="cyclotomic index must be"):
+        cyclotomic_divides(0, ZeroCore(2, 3, 1, 1))
+    for family, index in [("D", 3), ("B", 2)]:
+        with pytest.raises(LinkInputError, match="no Dynkin type"):
+            DynkinType(family, index)
 
 
 # -- laws over the whole grid ------------------------------------------------------

@@ -402,7 +402,7 @@ def test_broken_invariant_exits_3(capsys, monkeypatch):
     # Invariants are checks that raise, not asserts `python -O` strips.
     import seifertlinks.tables as tables
 
-    monkeypatch.setattr(tables, "finite_group", lambda link, n: None)
+    monkeypatch.setattr(tables, "_finite_group", lambda link, n: None)
     assert main(["table", "ade-2fold"]) == 3
     assert capsys.readouterr().err.startswith("internal error: infinite group")
 

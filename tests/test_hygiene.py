@@ -1,6 +1,6 @@
-"""Static hygiene of the package sources: no unused imports, no private
-function that nothing calls, no `assert`, no `dataclasses` and no
-unbounded memo.
+"""Static hygiene of the package sources: no unused imports, no `__all__`
+entry that names nothing, no private function that nothing calls, no
+`assert`, no `dataclasses` and no unbounded memo.
 
 The checks read the sources with the standard `ast` module, so they see
 names, not behaviour: a name counts as used when it appears anywhere in
@@ -71,6 +71,40 @@ def test_no_unused_imports():
             if name not in used
         ]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _bound_at_top_level(tree: ast.Module) -> set[str]:
+    """Names a module defines, assigns or imports at its top level."""
+    bound = {name for name, _ in _imported_names(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return bound
+
+
+def _exported_names(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [item.value for item in node.value.elts]
+    return []
+
+
+def test_all_names_only_what_the_module_binds():
+    stale = []
+    for path in SOURCES:
+        tree = _tree(path)
+        bound = _bound_at_top_level(tree)
+        stale += [
+            f"{path.name} {name}"
+            for name in _exported_names(tree)
+            if name not in bound
+        ]
+    assert not stale, "__all__ names nothing bound: " + ", ".join(stale)
 
 
 def test_no_unreferenced_private_functions():

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from seifertlinks import (
+    TABLE_NAMES,
     canonical_star_status,
     classification_report,
     in_P,
@@ -68,6 +69,7 @@ OUTSIDE_P = [
     ["cover", "L(2,5;3,1;-)", "--n", "4", "--json"],
     ["cover", "L(2,3;1,1;-)", "--n", "5", "--weights", "1,4"],
 ]
+TABLES = [["table", name] for name in TABLE_NAMES]
 
 
 @pytest.mark.parametrize("argv", IN_P)
@@ -77,10 +79,11 @@ def test_cli_commands_normalize_once(normalize_calls, capsys, argv):
     assert len(normalize_calls) == 1
 
 
-@pytest.mark.parametrize("argv", IN_P + OUTSIDE_P)
+@pytest.mark.parametrize("argv", IN_P + OUTSIDE_P + TABLES)
 def test_cli_commands_never_renormalize(normalize_calls, capsys, argv):
     # Outside P the verdicts reorient the link; only those fresh links
-    # are normalized after the first call.
+    # are normalized after the first call.  A table normalizes each of its
+    # candidate links once.
     assert main(argv) == 0
     capsys.readouterr()
     assert not renormalized(normalize_calls)

@@ -45,6 +45,9 @@ def _collect(value, found: dict[type, Record]) -> None:
     elif isinstance(value, (tuple, list)):
         for item in value:
             _collect(item, found)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _collect(item, found)
 
 
 def _samples() -> dict[type, Record]:
@@ -56,6 +59,8 @@ def _samples() -> dict[type, Record]:
         api.classification_report(trefoil),
         api.classification_report(ZeroCore(2, 3, 3, 1)),
         api.delta(trefoil),
+        api.b_bar(trefoil, 3),
+        api.canonical_star_status(trefoil, 3),
         api.fibre_data(trefoil, 3),
         api.finite_group(ZeroCore(1, 2, 2, 0), 3),
         api.TwoCore(2, 3, 1, 1, -1, -1),
