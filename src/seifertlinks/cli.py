@@ -385,10 +385,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     fibre = _fibre_data(link, n)
     group = _finite_group(link, n)
     status = _canonical_star_status(link, n)
-    try:
-        invariants = _nlo_seifert_invariants(link, n)
-    except LinkInputError:
-        invariants = None
+    invariants = _nlo_seifert_invariants(link, n)
     unwrapped_base = base.cone_orders if fibre.r == n else None
     pi1_text = "infinite" if group is None else f"finite: {group.label}"
     if group is not None and group.group_order is not None:

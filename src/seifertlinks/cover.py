@@ -20,7 +20,7 @@ arbitrary weighted cover.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from ._record import Record
 from .alexander import _cyclotomic_divides
@@ -43,7 +43,6 @@ from .link_model import (
 )
 from .orbifold import (
     FiniteGroupTag,
-    _b_bar,
     _finite_group,
     _require_level,
     _require_prime,
@@ -212,10 +211,19 @@ def nlo_seifert_invariants(link: SeifertLink, n: int) -> SeifertInvariants:
     pair raises NotInCatalog.
     """
     _require_level(n)
-    return _nlo_seifert_invariants(normalize(link), n)
+    link = normalize(link)
+    invariants = _nlo_seifert_invariants(link, n)
+    if invariants is None:
+        raise NotInCatalog(
+            "no non-foliation Seifert-invariant certificate is catalogued "
+            f"for ({link!r}, n={n})"
+        )
+    return invariants
 
 
-def _nlo_seifert_invariants(link: SeifertLink, n: int) -> SeifertInvariants:
+def _nlo_seifert_invariants(
+    link: SeifertLink, n: int
+) -> Optional[SeifertInvariants]:
     if (
         isinstance(link, ZeroCore)
         and (link.p, link.q, link.k, link.w) == (1, 1, 3, 1)
@@ -239,10 +247,7 @@ def _nlo_seifert_invariants(link: SeifertLink, n: int) -> SeifertInvariants:
         return SeifertInvariants(
             0, (Fraction(1, 3), Fraction(2, 9), Fraction(-3, 2))
         )
-    raise NotInCatalog(
-        "no non-foliation Seifert-invariant certificate is catalogued "
-        f"for ({link!r}, n={n})"
-    )
+    return None
 
 
 # -- evidence and verdicts -----------------------------------------------------
@@ -312,19 +317,26 @@ def general_psi_lo(
 def _general_psi_lo(
     link: SeifertLink, spec: CoverSpec
 ) -> Union[LO, Inconclusive]:
-    if _b_bar(link, 2).chi <= 0:
+    if not _is_ade_up_to_orientation(link):
         return LO(Catalog(CATALOG_NONPOSITIVE_CHI))
-    data = _jn_data(link, spec)
-    if jn_lo_sufficient(data):
+    data = _rotation_witness(link, spec)
+    if data is not None:
         return LO(PSL2R_Rep(data))
-    reflected = _jn_data(link, spec.reflected())
-    if jn_lo_sufficient(reflected):
-        return LO(PSL2R_Rep(reflected))
     if all(a in (1, spec.n - 1) for a in spec.weights):
         reoriented = _link_of_weights(link, spec)
         if _cyclotomic_divides(spec.n, reoriented):
             return LO(PositiveBetti(spec.n))
     return Inconclusive()
+
+
+def _rotation_witness(link: SeifertLink, spec: CoverSpec) -> Optional[JNData]:
+    """Rotation-number data forcing a left-orderable lift, read from the
+    cover or else from its reflection; None when neither suffices."""
+    data = _jn_data(link, spec)
+    if jn_lo_sufficient(data):
+        return data
+    reflected = _jn_data(link, spec.reflected())
+    return reflected if jn_lo_sufficient(reflected) else None
 
 
 def _link_of_weights(link: SeifertLink, spec: CoverSpec) -> SeifertLink:
@@ -370,45 +382,15 @@ class StarStatus(Record):
         return "Star" if self.star else "NotStar"
 
 
-def _star_by_representation(
-    link: SeifertLink, n: int, betti_first: bool
-) -> StarStatus:
-    """A Star verdict with the strongest witness available."""
-    if betti_first and _cyclotomic_divides(n, link):
-        return StarStatus(True, PositiveBetti(n))
-    spec = _canonical_weights(link, n)
-    data = _jn_data(link, spec)
-    if jn_lo_sufficient(data):
-        return StarStatus(True, PSL2R_Rep(data))
-    reflected = _jn_data(link, spec.reflected())
-    if jn_lo_sufficient(reflected):
-        return StarStatus(True, PSL2R_Rep(reflected))
-    if not betti_first and _cyclotomic_divides(n, link):
-        return StarStatus(True, PositiveBetti(n))
-    return StarStatus(True, Catalog(CATALOG_HOROFOLIATION))
-
-
-def _not_star_bound(link: SeifertLink) -> int:
-    """Largest n at which the canonical cover fails to be left-orderable,
-    for links that are ADE up to orientation (outside the families that
-    fail at every n)."""
-    if link == ZeroCore(2, 3, 1, 1):
-        return 5
-    if link in (ZeroCore(1, 2, 2, 2), ZeroCore(2, 5, 1, 1)):
-        return 3
-    if link == OneCore(2, 3, 1, 1, -1):
-        return 3
-    return 2
-
-
 def canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
     """Left-orderability verdict for the canonical n-fold branched cover.
 
-    Raises NotPrime on composite links.  The decision follows the
-    trichotomy: links that are not ADE up to orientation have
-    left-orderable covers at every index; three reoriented families fail
-    at every index; the remaining links fail up to a type-dependent
-    bound and are left-orderable beyond it.
+    Raises NotPrime on composite links.  Links that are ADE up to
+    orientation are decided, in order, by a finite fundamental group, a
+    catalogued non-foliation certificate, the two-bridge catalog and a
+    positive first Betti number.  Every other cover is left-orderable,
+    witnessed by rotation numbers, a positive first Betti number or the
+    horizontal-foliation catalog.
     """
     _require_level(n)
     link = _require_prime(
@@ -418,42 +400,23 @@ def canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
 
 
 def _canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
-    if isinstance(link, HopfSum):
-        group = _finite_group(link, n)
-        if group is None:
-            raise InvariantViolation(f"infinite group for {link!r} at n={n}")
-        return StarStatus(False, FinitePi1(group))
-
-    if not _is_ade_up_to_orientation(link):
-        return _star_by_representation(link, n, betti_first=False)
-
-    if isinstance(link, ZeroCore) and (link.p, link.k, link.w) == (1, 2, 0):
+    if _is_ade_up_to_orientation(link):
         group = _finite_group(link, n)
         if group is not None:
             return StarStatus(False, FinitePi1(group))
-        return StarStatus(False, Catalog(CATALOG_TWO_BRIDGE))
-
-    balanced_pretzel = isinstance(link, ZeroCore) and (
-        link.p, link.q, link.k, link.w
-    ) == (1, 1, 3, 1)
-    reversed_even_pretzel = isinstance(link, OneCore) and (
-        link.p, link.k, link.w, link.sign
-    ) == (1, 2, 0, 1)
-    if balanced_pretzel or reversed_even_pretzel:
         if n == 2:
-            group = _finite_group(link, 2)
-            if group is None:
-                raise InvariantViolation(f"infinite group for {link!r} at n=2")
-            return StarStatus(False, FinitePi1(group))
-        return StarStatus(
-            False, NoCTF_SeifertObstruction(_nlo_seifert_invariants(link, n))
-        )
-
-    if n <= _not_star_bound(link):
-        group = _finite_group(link, n)
-        if group is not None:
-            return StarStatus(False, FinitePi1(group))
-        return StarStatus(
-            False, NoCTF_SeifertObstruction(_nlo_seifert_invariants(link, n))
-        )
-    return _star_by_representation(link, n, betti_first=True)
+            # The double cover of an ADE link is spherical.
+            raise InvariantViolation(f"infinite group for {link!r} at n=2")
+        invariants = _nlo_seifert_invariants(link, n)
+        if invariants is not None:
+            return StarStatus(False, NoCTF_SeifertObstruction(invariants))
+        if isinstance(link, ZeroCore) and (link.p, link.k, link.w) == (1, 2, 0):
+            return StarStatus(False, Catalog(CATALOG_TWO_BRIDGE))
+        if _cyclotomic_divides(n, link):
+            return StarStatus(True, PositiveBetti(n))
+    data = _rotation_witness(link, _canonical_weights(link, n))
+    if data is not None:
+        return StarStatus(True, PSL2R_Rep(data))
+    if _cyclotomic_divides(n, link):
+        return StarStatus(True, PositiveBetti(n))
+    return StarStatus(True, Catalog(CATALOG_HOROFOLIATION))

@@ -27,17 +27,15 @@ from .link_model import (
 )
 from .orbifold import _b_bar, _finite_group
 
-__all__ = [
-    "ade_two_fold_rows",
-    "spherical_rows",
-    "euclidean_rows",
-    "higher_finite_rows",
-    "canonical_status_rows",
-    "TABLE_NAMES",
-    "build_table",
-]
+__all__ = ["TABLE_NAMES", "build_table"]
 
 Table = tuple[list[Row], ...]
+
+# The extent of the tables: the largest A and D index, the largest q of
+# the q-indexed families, and the largest cover level.
+_MAX_INDEX = 12
+_MAX_Q = 6
+_MAX_N = 12
 
 
 def _alias_row(link: SeifertLink) -> Row:
@@ -54,16 +52,16 @@ def _dedupe(links: list[SeifertLink]) -> tuple[SeifertLink, ...]:
     return tuple(seen)
 
 
-def _ade_types(max_index: int) -> list[DynkinType]:
-    types = [DynkinType("A", m) for m in range(1, max_index + 1)]
-    types += [DynkinType("D", m) for m in range(4, max_index + 1)]
+def _ade_types() -> list[DynkinType]:
+    types = [DynkinType("A", m) for m in range(1, _MAX_INDEX + 1)]
+    types += [DynkinType("D", m) for m in range(4, _MAX_INDEX + 1)]
     return types + [DynkinType("E", m) for m in (6, 7, 8)]
 
 
-def ade_two_fold_rows(max_index: int = 12) -> Table:
+def ade_two_fold_rows() -> Table:
     """One row per simply laced type: its link and double-cover data."""
     rows = []
-    for dynkin in _ade_types(max_index):
+    for dynkin in _ade_types():
         link = normalize(ade_link(dynkin))
         group = _finite_group(link, 2)
         if group is None:
@@ -115,7 +113,7 @@ def _spherical_row(
     return row + [Row("dynkin", dynkin, "type")]
 
 
-def spherical_rows(max_q: int = 6) -> Table:
+def spherical_rows() -> Table:
     rows: list[list[Row]] = []
 
     def hopf_row(n: int) -> list[Row]:
@@ -125,15 +123,15 @@ def spherical_rows(max_q: int = 6) -> Table:
 
     # n = 2: every ADE family is spherical at the double cover.
     rows.append(hopf_row(2))
-    for q in range(2, max_q + 1):
+    for q in range(2, _MAX_Q + 1):
         rows.append(
             _spherical_row(
                 2, f"L(1,{q};2,w)", [ZeroCore(1, q, 2, w) for w in (0, 2)]
             )
         )
-    for q in range(3, max_q + 1, 2):
+    for q in range(3, _MAX_Q + 1, 2):
         rows.append(_spherical_row(2, f"L(2,{q};1,1)", [ZeroCore(2, q, 1, 1)]))
-    for q in range(1, max_q + 1):
+    for q in range(1, _MAX_Q + 1):
         rows.append(
             _spherical_row(
                 2,
@@ -145,7 +143,7 @@ def spherical_rows(max_q: int = 6) -> Table:
                 ],
             )
         )
-    for q in range(3, max_q + 1, 2):
+    for q in range(3, _MAX_Q + 1, 2):
         rows.append(
             _spherical_row(
                 2, f"L(2,{q};1,1;e)", [OneCore(2, q, 1, 1, s) for s in (1, -1)]
@@ -204,7 +202,7 @@ def euclidean_rows() -> Table:
     )
 
 
-def higher_finite_rows(max_n: int = 12) -> Table:
+def higher_finite_rows() -> Table:
     """One row per branched cover of index three or more with finite
     fundamental group."""
     candidates = _dedupe(
@@ -218,7 +216,7 @@ def higher_finite_rows(max_n: int = 12) -> Table:
     rows = []
     for link in candidates:
         alias_row = _alias_row(link)
-        for n in range(3, max_n + 1):
+        for n in range(3, _MAX_N + 1):
             group = _finite_group(link, n)
             if group is not None:
                 rows.append(
@@ -233,22 +231,20 @@ def higher_finite_rows(max_n: int = 12) -> Table:
     return tuple(rows)
 
 
-def canonical_status_rows(
-    max_q: int = 6, max_index: int = 12, max_n: int = 12
-) -> Table:
+def canonical_status_rows() -> Table:
     """One row per link: its Star/NotStar verdicts at the cover levels
-    2..max_n."""
-    candidates = [ade_link(dynkin) for dynkin in _ade_types(max_index)]
-    candidates += [ZeroCore(1, q, 2, 0) for q in range(2, max_q + 1)]
+    2.._MAX_N."""
+    candidates = [ade_link(dynkin) for dynkin in _ade_types()]
+    candidates += [ZeroCore(1, q, 2, 0) for q in range(2, _MAX_Q + 1)]
     candidates.append(ZeroCore(1, 1, 3, 1))
-    candidates += [OneCore(1, q, 2, 0, 1) for q in range(2, max_q + 1)]
-    candidates += [OneCore(2, q, 1, 1, -1) for q in range(3, max_q + 1, 2)]
-    candidates += [OneCore(1, q, 2, 2, -1) for q in range(2, max_q + 1)]
+    candidates += [OneCore(1, q, 2, 0, 1) for q in range(2, _MAX_Q + 1)]
+    candidates += [OneCore(2, q, 1, 1, -1) for q in range(3, _MAX_Q + 1, 2)]
+    candidates += [OneCore(1, q, 2, 2, -1) for q in range(2, _MAX_Q + 1)]
     candidates.append(OneCore(3, 2, 1, 1, -1))
     rows = []
     for link in _dedupe(candidates):
         statuses = [
-            (n, _canonical_star_status(link, n)) for n in range(2, max_n + 1)
+            (n, _canonical_star_status(link, n)) for n in range(2, _MAX_N + 1)
         ]
         rows.append(
             [

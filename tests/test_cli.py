@@ -407,6 +407,15 @@ def test_broken_invariant_exits_3(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("internal error: infinite group")
 
 
+def test_infinite_ade_double_cover_exits_3(capsys, monkeypatch):
+    # The verdict's own group check fails, not the input.
+    import seifertlinks.cover as cover
+
+    monkeypatch.setattr(cover, "_finite_group", lambda link, n: None)
+    assert main(["cover", "T(2,3)", "--n", "2"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: infinite group")
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])

@@ -12,6 +12,7 @@ from seifertlinks import (
     HopfSum,
     Inconclusive,
     InvalidParameters,
+    InvariantViolation,
     JNData,
     LO,
     NoCTF_SeifertObstruction,
@@ -307,6 +308,18 @@ def test_hopf_covers_are_always_finite():
         status = canonical_star_status(HopfSum(1, 0), n)
         assert not status.star
         assert status.evidence.group.label == f"Z/{n}"
+
+
+def test_infinite_double_cover_of_an_ade_link_is_a_broken_invariant(
+    monkeypatch,
+):
+    # The double cover of a link that is ADE up to orientation is
+    # spherical; an infinite group there is a fault, not a rejected input.
+    import seifertlinks.cover as cover
+
+    monkeypatch.setattr(cover, "_finite_group", lambda link, n: None)
+    with pytest.raises(InvariantViolation):
+        canonical_star_status(ZeroCore(2, 3, 1, 1), 2)
 
 
 def test_star_status_rejections():
