@@ -18,7 +18,6 @@ from .link_model import (
     SeifertLink,
     TwoCore,
     ZeroCore,
-    _reorient_to_P,
     normalize,
 )
 
@@ -232,10 +231,14 @@ def is_ade_up_to_orientation(link: SeifertLink) -> bool:
 
 
 def _is_ade_up_to_orientation(link: SeifertLink) -> bool:
-    """The same, for a canonical prime link."""
+    """The same, for a canonical prime link, in integers: the double-cover
+    base has cone orders 2 (k times), a and b, and its Euler characteristic
+    1/a + 1/b - k/2 is positive exactly when k*a*b < 2(a + b)."""
     if isinstance(link, HopfSum):
         return True
-    return _is_ade(_reorient_to_P(link)) is not None
+    a = link.q if isinstance(link, ZeroCore) else 2 * link.q
+    b = 2 * link.p if isinstance(link, TwoCore) else link.p
+    return link.k * a * b < 2 * (a + b)
 
 
 class ClassificationReport(Record):

@@ -160,33 +160,44 @@ def jn_data(link: SeifertLink, spec: CoverSpec) -> JNData:
 
 
 def _jn_data(link: SeifertLink, spec: CoverSpec) -> JNData:
-    n = spec.n
-    # (numerator, denominator) of each angle
-    angles = [(spec.weights[i], n) for i in range(link.k)]
+    return _jn_record(link, spec.n, *_angles(link, spec.n, spec.weights))
+
+
+def _angles(link: SeifertLink, n: int, weights: tuple) -> tuple[list, int]:
+    """(numerator, denominator) of each angle, and the integer sigma*npq."""
+    angles = [(weights[i], n) for i in range(link.k)]
     if isinstance(link, ZeroCore):
         angles += [(1, m) for m in (link.q, link.p) if m > 1]
     elif isinstance(link, OneCore):
-        angles.append((spec.weights[link.k], n * link.q))
+        angles.append((weights[link.k], n * link.q))
         if link.p > 1:
             angles.append((1, link.p))
     else:
-        angles.append((spec.weights[link.k], n * link.q))
-        angles.append((spec.weights[link.k + 1], n * link.p))
+        angles.append((weights[link.k], n * link.q))
+        angles.append((weights[link.k + 1], n * link.p))
     # Every denominator divides n*p*q: sum the numerators over it.
     common = n * link.p * link.q
-    sigma = Fraction(sum(a * (common // d) for a, d in angles), common)
+    return angles, sum(a * (common // d) for a, d in angles)
+
+
+def _jn_record(link: SeifertLink, n: int, angles: list, total: int) -> JNData:
     thetas = tuple(Fraction(a, d) for a, d in angles)
-    return JNData(thetas, sigma, len(thetas))
+    return JNData(thetas, Fraction(total, n * link.p * link.q), len(thetas))
 
 
 def jn_lo_sufficient(data: JNData) -> bool:
     """Whether the rotation numbers force a PSL(2,R) representation with
     a left-orderable lift (sufficient, not necessary)."""
-    if data.r == 3:
-        return data.sigma < 1 or data.sigma > 2
-    if data.r == 4:
-        return data.sigma != 2
-    return data.r >= 5
+    return _lo_sufficient(data.r, *data.sigma.as_integer_ratio())
+
+
+def _lo_sufficient(r: int, total: int, common: int) -> bool:
+    """The criterion for r angles summing to sigma = total/common > 0."""
+    if r == 3:
+        return total < common or total > 2 * common
+    if r == 4:
+        return total != 2 * common
+    return r >= 5
 
 
 class SeifertInvariants(Record):
@@ -331,12 +342,14 @@ def _general_psi_lo(
 
 def _rotation_witness(link: SeifertLink, spec: CoverSpec) -> Optional[JNData]:
     """Rotation-number data forcing a left-orderable lift, read from the
-    cover or else from its reflection; None when neither suffices."""
-    data = _jn_data(link, spec)
-    if jn_lo_sufficient(data):
-        return data
-    reflected = _jn_data(link, spec.reflected())
-    return reflected if jn_lo_sufficient(reflected) else None
+    cover or else from its reflection; None when neither suffices.  The
+    test runs on the integer sigma*npq; only the winning record is built."""
+    n = spec.n
+    for weights in (spec.weights, tuple(n - a for a in spec.weights)):
+        angles, total = _angles(link, n, weights)
+        if _lo_sufficient(len(angles), total, n * link.p * link.q):
+            return _jn_record(link, n, angles, total)
+    return None
 
 
 def _link_of_weights(link: SeifertLink, spec: CoverSpec) -> SeifertLink:

@@ -16,9 +16,10 @@ fibration minus number against it), and each sign records the orientation
 of an included core circle.
 
 Different parameter tuples can denote the same oriented link.  `normalize`
-rewrites any valid tuple to the unique canonical representative.  Every
-public function of the package applies it once to its argument; the
-private bodies behind them take links already in that normal form.
+rewrites any valid tuple to the unique canonical representative, and a
+link it returned passes through it again in O(1).  Every public function
+of the package applies it once to its argument; the private bodies behind
+them take links already in that normal form.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ class HopfSum(Record):
 
     plus: int
     minus: int
+    _canonical = False  # set only by `normalize`; not a field
 
 
 class ZeroCore(Record):
@@ -67,6 +69,7 @@ class ZeroCore(Record):
     q: int
     k: int
     w: int
+    _canonical = False
 
 
 class OneCore(Record):
@@ -77,6 +80,7 @@ class OneCore(Record):
     k: int
     w: int
     sign: int
+    _canonical = False
 
 
 class TwoCore(Record):
@@ -88,6 +92,7 @@ class TwoCore(Record):
     w: int
     sign1: int
     sign2: int
+    _canonical = False
 
 
 SeifertLink = Union[HopfSum, ZeroCore, OneCore, TwoCore]
@@ -251,8 +256,10 @@ def normalize(link: SeifertLink) -> SeifertLink:
 
     Raises NotCoprime, InvalidParameters, or UnknotInput when the
     parameters do not denote a link of the class.  Idempotent and total on
-    valid input.
+    valid input.  It flags its result, and returns a flagged link at once.
     """
+    if link._canonical:
+        return link
     _validate(link)
     current = link
     changed = True
@@ -264,6 +271,7 @@ def normalize(link: SeifertLink) -> SeifertLink:
                 current = result
                 changed = True
                 break
+    object.__setattr__(current, "_canonical", True)
     return current
 
 

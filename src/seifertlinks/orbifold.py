@@ -57,18 +57,18 @@ class ConeOrbifold(Record):
     @staticmethod
     def build(orders: Iterable[int]) -> "ConeOrbifold":
         """Sort the orders and drop trivial (order 1) cone points."""
-        orders = tuple(orders)
-        if any(a < 1 for a in orders):
+        ordered = sorted(orders)
+        if ordered and ordered[0] < 1:
             raise InvalidParameters("cone orders must be positive")
-        return ConeOrbifold(tuple(sorted(a for a in orders if a > 1)))
+        return ConeOrbifold(tuple(ordered[ordered.count(1):]))
 
     @property
     def chi(self) -> Fraction:
         """Orbifold Euler characteristic 2 - sum(1 - 1/a), summed in
-        integers over the lcm L of the orders: (2L - sum(L - L/a)) / L."""
+        integers over the lcm L of the r orders: ((2 - r)L + sum L/a) / L."""
         lcm = math.lcm(*self.cone_orders)
-        deficit = sum(lcm - lcm // a for a in self.cone_orders)
-        return Fraction(2 * lcm - deficit, lcm)
+        inverses = sum(map(lcm.__floordiv__, self.cone_orders))
+        return Fraction((2 - len(self.cone_orders)) * lcm + inverses, lcm)
 
     @property
     def geometry(self) -> str:

@@ -14,6 +14,7 @@ from seifertlinks import (
     TwoCore,
     ZeroCore,
     ade_link,
+    b_bar,
     classification_report,
     delta,
     g4_status,
@@ -261,6 +262,11 @@ def test_ade_up_to_orientation_requires_prime():
 
 
 def test_ade_membership_is_orientation_insensitive(grid):
+    # `is_ade_up_to_orientation` is the integer test k*a*b < 2(a + b); this
+    # compares it with the ADE catalog on the reorientation.  Five grid links
+    # sit on the Euclidean boundary k*a*b == 2(a + b), so a `<=` in place of
+    # `<` fails here.
+    boundary = []
     for link in grid:
         if not is_prime(link):
             continue
@@ -269,6 +275,12 @@ def test_ade_membership_is_orientation_insensitive(grid):
         assert is_ade_up_to_orientation(link) is (
             is_ade(reorient_to_P(link)) is not None
         )
+        if b_bar(link, 2).chi == 0:
+            boundary.append(link)
+    assert set(boundary) == {
+        ZeroCore(1, 1, 4, 0), ZeroCore(1, 1, 4, 2), ZeroCore(1, 1, 4, 4),
+        ZeroCore(1, 2, 3, 1), ZeroCore(1, 2, 3, 3),
+    }
 
 
 # -- the report bundle --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Branched-cover left-orderability: weighted covers, rotation numbers,
 the non-foliation catalog, and the canonical-cover verdict."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from seifertlinks import (
     jn_lo_sufficient,
     nlo_seifert_invariants,
 )
+from seifertlinks.cover import _rotation_witness
 
 
 # -- cover specifications -----------------------------------------------------
@@ -149,6 +151,47 @@ def test_jn_sufficiency_thresholds():
     assert jn_lo_sufficient(with_sigma(4, 3))
     assert jn_lo_sufficient(with_sigma(5, 2))
     assert not jn_lo_sufficient(with_sigma(2, 1))
+
+
+def fraction_ladder(link, spec):
+    """Reference for the rotation witness: the Fraction angles of the cover,
+    then of its reflection, each tested on its Fraction sigma."""
+    for candidate in (spec, spec.reflected()):
+        n, weights = candidate.n, candidate.weights
+        thetas = [Fraction(a, n) for a in weights[: link.k]]
+        if isinstance(link, ZeroCore):
+            thetas += [Fraction(1, m) for m in (link.q, link.p) if m > 1]
+        elif isinstance(link, OneCore):
+            thetas.append(Fraction(weights[link.k], n * link.q))
+            if link.p > 1:
+                thetas.append(Fraction(1, link.p))
+        else:
+            thetas.append(Fraction(weights[link.k], n * link.q))
+            thetas.append(Fraction(weights[link.k + 1], n * link.p))
+        sigma, r = sum(thetas, Fraction(0)), len(thetas)
+        if (r == 3 and not 1 <= sigma <= 2) or (r == 4 and sigma != 2) or r >= 5:
+            return JNData(tuple(thetas), sigma, r)
+    return None
+
+
+def test_rotation_witness_matches_the_fraction_ladder(grid):
+    # The witness tests sigma*npq in integers and builds only the winning
+    # record; it must return what the Fraction ladder returns, None included.
+    rng = random.Random(1616)
+    outcomes = set()
+    for link in grid:
+        if isinstance(link, HopfSum):
+            continue
+        for n in range(2, 61):
+            specs = [canonical_weights(link, n)]
+            if rng.random() < 0.25:
+                sampled = (rng.randint(1, n - 1) for _ in specs[0].weights)
+                specs.append(CoverSpec(n, tuple(sampled)))
+            for weights in specs:
+                expected = fraction_ladder(link, weights)
+                assert _rotation_witness(link, weights) == expected, (link, weights)
+                outcomes.add(None if expected is None else expected.r > 4)
+    assert outcomes == {None, False, True}
 
 
 # -- the non-foliation catalog ------------------------------------------------

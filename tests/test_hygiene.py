@@ -1,6 +1,7 @@
 """Static hygiene of the package sources: no unused imports, no `__all__`
 entry that names nothing, no private function that nothing calls, no
-`assert`, no `dataclasses` and no unbounded memo.
+`assert`, no `dataclasses`, no unbounded memo, and no code outside
+`link_model.normalize` that sets the canonical flag.
 
 The checks read the sources with the standard `ast` module, so they see
 names, not behaviour: a name counts as used when it appears anywhere in
@@ -213,3 +214,32 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         check=True,
     )
     assert result.stdout.strip() == "[]", result.stdout
+
+
+def _flag_writes(tree: ast.AST) -> list[int]:
+    """Lines that assign the flag as an attribute or name it as a string,
+    as `object.__setattr__` needs: a record's own `__setattr__` refuses."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value == "_canonical":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "_canonical":
+            if not isinstance(node.ctx, ast.Load):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_normalize_sets_the_canonical_flag():
+    # A link flagged anywhere else would skip validation, valid or not.
+    allowed = set()
+    for node in ast.walk(_tree(PACKAGE / "link_model.py")):
+        if isinstance(node, ast.FunctionDef) and node.name == "normalize":
+            allowed = {("link_model.py", line) for line in _flag_writes(node)}
+    assert allowed, "normalize no longer sets the canonical flag"
+    stray = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _flag_writes(_tree(path))
+        if (path.name, line) not in allowed
+    ]
+    assert not stray, "canonical flag set outside normalize: " + ", ".join(stray)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import product
 
@@ -27,6 +28,8 @@ from seifertlinks import (
     render,
     reorient_to_P,
 )
+from seifertlinks._record import replace
+from seifertlinks.cli import _encode
 from seifertlinks.link_model import _REWRITE_RULES
 
 from conftest import raw_links
@@ -94,6 +97,65 @@ def test_rejects_unknot_presentations():
         normalize(ZeroCore(1, 5, 1, 1))
     with pytest.raises(UnknotInput):
         normalize(ZeroCore(1, 1, 1, -1))
+
+
+# -- the canonical flag ---------------------------------------------------------
+#
+# `normalize` flags the link it returns and hands a flagged link straight
+# back.  The flag is not a field: it must not show in any comparison or
+# output, and only `normalize` may set it.
+
+
+@settings(max_examples=300)
+@given(raw_links())
+def test_normalize_returns_its_own_result_unchanged(raw):
+    once = normalize(raw)
+    assert once._canonical
+    assert normalize(once) is once
+
+
+@pytest.mark.parametrize(
+    "link", [HopfSum(2, 1), ZeroCore(2, 3, 1, 1), OneCore(2, 3, 2, 0, 1),
+             TwoCore(2, 3, 2, 2, 1, -1)],
+)
+def test_flag_is_invisible(link):
+    flagged = normalize(link)
+    twin = type(link)(*flagged._values(flagged))
+    assert flagged._canonical and not twin._canonical
+    assert flagged == twin and twin == flagged
+    assert hash(flagged) == hash(twin)
+    assert repr(flagged) == repr(twin)
+    assert json.dumps(flagged, default=_encode) == json.dumps(
+        twin, default=_encode
+    )
+
+
+def test_replace_gives_an_unflagged_link():
+    flagged = normalize(ZeroCore(2, 3, 2, 2))
+    changed = replace(flagged, w=-2)
+    assert not changed._canonical
+    assert normalize(changed) == flagged
+    assert not replace(flagged)._canonical
+
+
+def test_flag_belongs_to_the_instance_not_the_value():
+    assert normalize(ZeroCore(2, 3, 1, 1))._canonical
+    raw = ZeroCore(3, 2, 1, -1)
+    assert not raw._canonical
+    assert normalize(raw) == ZeroCore(2, 3, 1, 1)
+    assert not raw._canonical
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [ZeroCore(4, 6, 1, 1), ZeroCore(2, 3, 2, 1), HopfSum(0, 0),
+     TwoCore(1, 3, 1, 1, 1, 1), ZeroCore(1, 5, 1, 1)],
+)
+def test_invalid_input_raises_every_time_and_is_never_flagged(raw):
+    for _ in range(2):
+        with pytest.raises(LinkInputError):
+            normalize(raw)
+    assert not raw._canonical
 
 
 # -- normalization is total, idempotent, and confluent --------------------------

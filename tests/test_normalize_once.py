@@ -3,8 +3,10 @@
 A public function validates and normalizes its argument, then hands the
 canonical link to private bodies that take it as it is.  The only other
 `normalize` calls are on links built fresh inside a call, such as the
-positive reorientation of a link outside P.  The tests count the calls
-in process by wrapping every module binding of `link_model.normalize`.
+positive reorientation of a link outside P.  A link that `normalize`
+returned passes through it again in O(1), unchecked and unchanged.  The
+tests count the calls in process by wrapping every module binding of
+`link_model.normalize`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from seifertlinks import (
     in_P,
     is_prime,
     link_model,
+    normalize,
 )
 from seifertlinks.cli import main
 
@@ -111,3 +114,15 @@ def test_no_call_renormalizes_a_canonical_link(grid, normalize_calls):
             canonical_star_status(link, n)
             assert normalize_calls[0][0] is link, (link, n)
             assert not renormalized(normalize_calls), (link, n)
+
+
+def test_a_canonical_link_passes_through_normalize_unchecked(grid, monkeypatch):
+    # A grid link came out of `normalize`, so it comes back as the same
+    # object without being validated again.  Without the flag it would be
+    # validated, and `unreachable` would fail the test.
+    def unreachable(link):
+        raise AssertionError(f"{link!r} was checked again")
+
+    monkeypatch.setattr(link_model, "_validate", unreachable)
+    for link in grid:
+        assert normalize(link) is link
