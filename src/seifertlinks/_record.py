@@ -39,22 +39,25 @@ class Record:
     """Base class of the package's immutable value types."""
 
     _fields: tuple[str, ...] = ()
+    # Whether the class or a base defines `__post_init__`, the check that
+    # rejects invalid field values; set once per class, so a record
+    # without one pays for no call.
+    _checked = False
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         own = tuple(cls.__dict__.get("__annotations__", ()))
         cls._fields = cls._fields + own
         cls._values = staticmethod(_getter(cls._fields))
+        cls._checked = hasattr(cls, "__post_init__")
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         if kwargs or len(args) != len(self._fields):
             args = _arrange(type(self), args, kwargs)
         for name, value in zip(self._fields, args):
             _setattr(self, name, value)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        """Validate the fields; a subclass overrides this to reject values."""
+        if self._checked:
+            self.__post_init__()
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

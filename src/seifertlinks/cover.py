@@ -126,18 +126,20 @@ def canonical_weights(link: SeifertLink, n: int) -> CoverSpec:
     """The weights of the canonical n-fold cover of the link as oriented:
     1 on positively oriented components, n-1 on reversed ones."""
     _require_level(n)
-    return _canonical_weights(_require_core(normalize(link)), n)
+    return CoverSpec(n, _canonical_weights(_require_core(normalize(link)), n))
 
 
-def _canonical_weights(link: SeifertLink, n: int) -> CoverSpec:
+def _canonical_weights(link: SeifertLink, n: int) -> tuple[int, ...]:
     positives = (link.k + link.w) // 2
-    weights = [1] * positives + [n - 1] * (link.k - positives)
+    weights = (1,) * positives + (n - 1,) * (link.k - positives)
     if isinstance(link, OneCore):
-        weights.append(1 if link.sign > 0 else n - 1)
-    elif isinstance(link, TwoCore):
-        weights.append(1 if link.sign1 > 0 else n - 1)
-        weights.append(1 if link.sign2 > 0 else n - 1)
-    return CoverSpec(n, tuple(weights))
+        return weights + (1 if link.sign > 0 else n - 1,)
+    if isinstance(link, TwoCore):
+        return weights + (
+            1 if link.sign1 > 0 else n - 1,
+            1 if link.sign2 > 0 else n - 1,
+        )
+    return weights
 
 
 class JNData(Record):
@@ -181,7 +183,9 @@ def _angles(link: SeifertLink, n: int, weights: tuple) -> tuple[list, int]:
 
 
 def _jn_record(link: SeifertLink, n: int, angles: list, total: int) -> JNData:
-    thetas = tuple(Fraction(a, d) for a, d in angles)
+    # The k branch copies often share one angle: one Fraction per value.
+    made = {angle: Fraction(*angle) for angle in set(angles)}
+    thetas = tuple(map(made.__getitem__, angles))
     return JNData(thetas, Fraction(total, n * link.p * link.q), len(thetas))
 
 
@@ -312,6 +316,12 @@ class Inconclusive(Record):
     """The one-sided tests for this weighted cover all failed."""
 
 
+# Verdicts that carry no per-call data are built once: records are
+# immutable and compare by value.
+_LO_NONPOSITIVE_CHI = LO(Catalog(CATALOG_NONPOSITIVE_CHI))
+_INCONCLUSIVE = Inconclusive()
+
+
 def general_psi_lo(
     link: SeifertLink, spec: CoverSpec
 ) -> Union[LO, Inconclusive]:
@@ -329,23 +339,25 @@ def _general_psi_lo(
     link: SeifertLink, spec: CoverSpec
 ) -> Union[LO, Inconclusive]:
     if not _is_ade_up_to_orientation(link):
-        return LO(Catalog(CATALOG_NONPOSITIVE_CHI))
-    data = _rotation_witness(link, spec)
+        return _LO_NONPOSITIVE_CHI
+    data = _rotation_witness(link, spec.n, spec.weights)
     if data is not None:
         return LO(PSL2R_Rep(data))
     if all(a in (1, spec.n - 1) for a in spec.weights):
         reoriented = _link_of_weights(link, spec)
         if _cyclotomic_divides(spec.n, reoriented):
             return LO(PositiveBetti(spec.n))
-    return Inconclusive()
+    return _INCONCLUSIVE
 
 
-def _rotation_witness(link: SeifertLink, spec: CoverSpec) -> Optional[JNData]:
+def _rotation_witness(
+    link: SeifertLink, n: int, weights: tuple[int, ...]
+) -> Optional[JNData]:
     """Rotation-number data forcing a left-orderable lift, read from the
-    cover or else from its reflection; None when neither suffices.  The
-    test runs on the integer sigma*npq; only the winning record is built."""
-    n = spec.n
-    for weights in (spec.weights, tuple(n - a for a in spec.weights)):
+    cover with these weights or else from its reflection; None when
+    neither suffices.  The test runs on the integer sigma*npq; only the
+    winning record is built."""
+    for weights in (weights, tuple(n - a for a in weights)):
         angles, total = _angles(link, n, weights)
         if _lo_sufficient(len(angles), total, n * link.p * link.q):
             return _jn_record(link, n, angles, total)
@@ -395,6 +407,10 @@ class StarStatus(Record):
         return "Star" if self.star else "NotStar"
 
 
+_TWO_BRIDGE = StarStatus(False, Catalog(CATALOG_TWO_BRIDGE))
+_HOROFOLIATION = StarStatus(True, Catalog(CATALOG_HOROFOLIATION))
+
+
 def canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
     """Left-orderability verdict for the canonical n-fold branched cover.
 
@@ -424,12 +440,12 @@ def _canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
         if invariants is not None:
             return StarStatus(False, NoCTF_SeifertObstruction(invariants))
         if isinstance(link, ZeroCore) and (link.p, link.k, link.w) == (1, 2, 0):
-            return StarStatus(False, Catalog(CATALOG_TWO_BRIDGE))
+            return _TWO_BRIDGE
         if _cyclotomic_divides(n, link):
             return StarStatus(True, PositiveBetti(n))
-    data = _rotation_witness(link, _canonical_weights(link, n))
+    data = _rotation_witness(link, n, _canonical_weights(link, n))
     if data is not None:
         return StarStatus(True, PSL2R_Rep(data))
     if _cyclotomic_divides(n, link):
         return StarStatus(True, PositiveBetti(n))
-    return StarStatus(True, Catalog(CATALOG_HOROFOLIATION))
+    return _HOROFOLIATION

@@ -64,18 +64,15 @@ class ConeOrbifold(Record):
 
     @property
     def chi(self) -> Fraction:
-        """Orbifold Euler characteristic 2 - sum(1 - 1/a), summed in
-        integers over the lcm L of the r orders: ((2 - r)L + sum L/a) / L."""
-        lcm = math.lcm(*self.cone_orders)
-        inverses = sum(map(lcm.__floordiv__, self.cone_orders))
-        return Fraction((2 - len(self.cone_orders)) * lcm + inverses, lcm)
+        """Orbifold Euler characteristic 2 - sum(1 - 1/a)."""
+        return Fraction(*_chi_terms(self.cone_orders))
 
     @property
     def geometry(self) -> str:
-        value = self.chi
-        if value > 0:
+        numerator = _chi_terms(self.cone_orders)[0]
+        if numerator > 0:
             return "spherical"
-        if value == 0:
+        if numerator == 0:
             return "euclidean"
         return "hyperbolic"
 
@@ -86,6 +83,15 @@ class ConeOrbifold(Record):
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _chi_terms(cone_orders: tuple[int, ...]) -> tuple[int, int]:
+    """(numerator, L) with chi = numerator / L, summed in integers over the
+    lcm L of the r orders: numerator = (2 - r)L + sum L/a.  L > 0, so the
+    numerator carries the sign of chi."""
+    lcm = math.lcm(*cone_orders)
+    inverses = sum(map(lcm.__floordiv__, cone_orders))
+    return (2 - len(cone_orders)) * lcm + inverses, lcm
 
 
 def _require_level(n: int) -> None:
@@ -117,14 +123,13 @@ def b_bar(link: SeifertLink, n: int) -> ConeOrbifold:
 def _b_bar(link: SeifertLink, n: int) -> ConeOrbifold:
     if isinstance(link, HopfSum):
         return ConeOrbifold.build((n, n))
-    orders = [n] * link.k
     if isinstance(link, ZeroCore):
-        orders += [link.q, link.p]
+        cores = (link.q, link.p)
     elif isinstance(link, OneCore):
-        orders += [n * link.q, link.p]
+        cores = (n * link.q, link.p)
     else:
-        orders += [n * link.q, n * link.p]
-    return ConeOrbifold.build(orders)
+        cores = (n * link.q, n * link.p)
+    return ConeOrbifold.build((n,) * link.k + cores)
 
 
 class FibreCoverData(Record):
@@ -197,16 +202,15 @@ def FiniteUnidentified(orbifold: ConeOrbifold) -> FiniteGroupTag:
     )
 
 
+_E_GROUPS = {6: BinaryTetrahedral(), 7: BinaryOctahedral(), 8: BinaryIcosahedral()}
+
+
 def _two_fold_group(dynkin: DynkinType) -> FiniteGroupTag:
     if dynkin.family == "A":
         return Cyclic(dynkin.index + 1)
     if dynkin.family == "D":
         return BinaryDihedral(dynkin.index - 2)
-    return {
-        6: BinaryTetrahedral,
-        7: BinaryOctahedral,
-        8: BinaryIcosahedral,
-    }[dynkin.index]()
+    return _E_GROUPS[dynkin.index]
 
 
 _HIGHER_COVER_GROUPS: dict[tuple[SeifertLink, int], FiniteGroupTag] = {
@@ -233,7 +237,7 @@ def finite_group(link: SeifertLink, n: int) -> Optional[FiniteGroupTag]:
 
 def _finite_group(link: SeifertLink, n: int) -> Optional[FiniteGroupTag]:
     base = _b_bar(link, n)
-    if base.chi <= 0:
+    if _chi_terms(base.cone_orders)[0] <= 0:
         return None
     if n == 2:
         dynkin = _is_ade(_reorient_to_P(link))

@@ -178,6 +178,30 @@ def symmetrized_det(seifert: Sequence[Sequence[int]]) -> int:
     )
 
 
+def cyclic_cover_h1_order(terms: Sequence[tuple[int, int]], n: int) -> int:
+    """|H_1| of the canonical n-fold cyclic branched cover of a link whose
+    Alexander polynomial is the sum of c t^e over the (e, c) `terms`, or 0
+    when H_1 is infinite.
+
+    The order is |det| of multiplication by Delta on the free module
+    Z[t]/(1 + t + ... + t^(n-1)) with basis 1, t, ..., t^(n-2), that is
+    |prod Delta(zeta)| over the n-th roots of unity zeta != 1.  In the
+    quotient t^n = 1 and t^(n-1) = -(1 + t + ... + t^(n-2)).
+    """
+    size = n - 1
+    columns = []
+    for j in range(size):
+        column = [0] * size
+        for e, c in terms:
+            power = (e + j) % n
+            if power == size:
+                column = [entry - c for entry in column]
+            else:
+                column[power] += c
+        columns.append(column)
+    return abs(integer_det(columns))
+
+
 # -- positive braid closures via the reduced Burau representation ---------------
 
 

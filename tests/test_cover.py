@@ -189,7 +189,7 @@ def test_rotation_witness_matches_the_fraction_ladder(grid):
                 specs.append(CoverSpec(n, tuple(sampled)))
             for weights in specs:
                 expected = fraction_ladder(link, weights)
-                assert _rotation_witness(link, weights) == expected, (link, weights)
+                assert _rotation_witness(link, n, weights.weights) == expected, (link, weights)
                 outcomes.add(None if expected is None else expected.r > 4)
     assert outcomes == {None, False, True}
 

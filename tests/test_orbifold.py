@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import cyclic_cover_h1_order
+from reference_alexander import reference_delta
 from seifertlinks import (
     BinaryDihedral,
     BinaryIcosahedral,
@@ -22,9 +24,11 @@ from seifertlinks import (
     TwoCore,
     ZeroCore,
     b_bar,
+    determinant,
     fibre_data,
     finite_group,
     is_ade_up_to_orientation,
+    is_prime,
     reorient_to_P,
 )
 
@@ -187,6 +191,33 @@ def test_the_one_unidentified_finite_group(grid):
     assert tag == FiniteUnidentified(b_bar(ZeroCore(1, 2, 2, 0), 3))
     assert tag.label == "finite central extension over S2(2,3,3)"
     assert (tag.group_order, tag.h1_order) == (None, None)
+
+
+def test_h1_orders_match_the_cover_oracle(grid):
+    # The oracle reads |H_1| of the n-fold cover off an expanded reference
+    # Delta.  At n = 2 it is the determinant; for every identified finite
+    # group it is the order of the abelianization the tag records.
+    checked = 0
+    unidentified = []
+    for link in grid:
+        if not is_prime(link):
+            continue
+        terms = reference_delta(link).terms
+        assert cyclic_cover_h1_order(terms, 2) == determinant(link), link
+        for n in range(2, 61):
+            tag = finite_group(link, n)
+            if tag is None:
+                continue
+            order = cyclic_cover_h1_order(terms, n)
+            if tag.h1_order is None:
+                unidentified.append((link, n, order))
+            else:
+                assert order == tag.h1_order, (link, n, tag)
+                checked += 1
+    assert checked > 100
+    # The one group outside the catalog keeps its label; its H_1 has
+    # order 12.
+    assert unidentified == [(ZeroCore(1, 2, 2, 0), 3, 12)]
 
 
 def test_group_tag_labels_and_orders():
