@@ -102,11 +102,7 @@ def delta(link: SeifertLink) -> LaurentPoly:
     number of terms rather than the breadth.  The zero polynomial occurs
     exactly for ZeroCore links with w = 0 and k != 2.
     """
-    return _delta(normalize(link))
-
-
-def _delta(link: SeifertLink) -> LaurentPoly:
-    factored = _factored(link)
+    factored = _factored(normalize(link))
     if factored is None:
         return LaurentPoly.zero()
     content, numerator, denominator = factored
@@ -126,11 +122,7 @@ def determinant(link: SeifertLink) -> int:
     to m/d there.  So Delta(-1) is 0 when 1 + t divides Delta, and
     otherwise c times the product of f(m) over the numerator divided by
     that over the denominator, f(m) = m for even m and 2 for odd m."""
-    return _determinant(normalize(link))
-
-
-def _determinant(link: SeifertLink) -> int:
-    factored = _factored(link)
+    factored = _factored(normalize(link))
     if factored is None or _cyclotomic_count(2, factored) > 0:
         return 0
     content, numerator, denominator = factored
@@ -149,10 +141,7 @@ def genus(link: SeifertLink) -> int:
     the genus is (breadth - components + 1) / 2, and 0 on the
     non-fibred (zero polynomial) cases.
     """
-    return _genus(normalize(link))
-
-
-def _genus(link: SeifertLink) -> int:
+    link = normalize(link)
     factored = _factored(link)
     if factored is None:
         return 0
@@ -171,9 +160,5 @@ def cyclotomic_divides(n: int, link: SeifertLink) -> bool:
     Read off the exponents: see `_cyclotomic_count`."""
     if n < 1:
         raise InvalidParameters("cyclotomic index must be a positive integer")
-    return _cyclotomic_divides(n, normalize(link))
-
-
-def _cyclotomic_divides(n: int, link: SeifertLink) -> bool:
-    factored = _factored(link)
+    factored = _factored(normalize(link))
     return factored is None or _cyclotomic_count(n, factored) > 0

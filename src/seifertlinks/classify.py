@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ._record import Record
-from .alexander import _genus
+from .alexander import genus
 from .errors import InvalidParameters, NotPrime
 from .link_model import (
     HopfSum,
@@ -98,12 +98,9 @@ def ade_link(dynkin: DynkinType) -> SeifertLink:
 
 def is_ade(link: SeifertLink) -> Optional[DynkinType]:
     """The Dynkin type of `link` if it is one of the ADE links, else None."""
-    return _is_ade(normalize(link))
-
-
-def _is_ade(link: SeifertLink) -> Optional[DynkinType]:
-    if link == HopfSum(1, 0):
-        return DynkinType("A", 1)
+    link = normalize(link)
+    if isinstance(link, HopfSum):
+        return DynkinType("A", 1) if (link.plus, link.minus) == (1, 0) else None
     if isinstance(link, ZeroCore):
         shape = (link.p, link.k, link.w)
         if shape == (2, 1, 1):
@@ -130,29 +127,20 @@ def _is_ade(link: SeifertLink) -> Optional[DynkinType]:
 
 def is_prime(link: SeifertLink) -> bool:
     """False exactly for connected sums of two or more Hopf links."""
-    return _is_prime(normalize(link))
-
-
-def _is_prime(link: SeifertLink) -> bool:
+    link = normalize(link)
     return not (isinstance(link, HopfSum) and link.plus + link.minus >= 2)
 
 
 def is_fibred(link: SeifertLink) -> bool:
     """False exactly for the balanced coreless links (w = 0, no cores)."""
-    return _is_fibred(normalize(link))
-
-
-def _is_fibred(link: SeifertLink) -> bool:
+    link = normalize(link)
     return not (isinstance(link, ZeroCore) and link.w == 0)
 
 
 def in_P(link: SeifertLink) -> bool:
     """Membership in the positively oriented class: every fibre copy and
     every core runs with the fibration."""
-    return _in_P(normalize(link))
-
-
-def _in_P(link: SeifertLink) -> bool:
+    link = normalize(link)
     if isinstance(link, HopfSum):
         return link.minus == 0
     if isinstance(link, ZeroCore):
@@ -169,27 +157,21 @@ is_braid_positive = in_P
 
 def is_sqp(link: SeifertLink) -> bool:
     """Strong quasipositivity."""
-    return _is_sqp(normalize(link))
-
-
-def _is_sqp(link: SeifertLink) -> bool:
-    return _in_P(link) or (isinstance(link, ZeroCore) and link.w == 0)
+    link = normalize(link)
+    return in_P(link) or (isinstance(link, ZeroCore) and link.w == 0)
 
 
 def is_genus_zero(link: SeifertLink) -> bool:
     """Whether the Seifert genus vanishes."""
-    return _genus(normalize(link)) == 0
+    return genus(link) == 0
 
 
 def g4_status(link: SeifertLink) -> tuple[bool, FourGenus]:
     """(whether the smooth four-genus equals the Seifert genus, and the
     best four-genus information available)."""
-    return _g4_status(normalize(link))
-
-
-def _g4_status(link: SeifertLink) -> tuple[bool, FourGenus]:
-    g = _genus(link)
-    if _in_P(link) or g == 0:
+    link = normalize(link)
+    g = genus(link)
+    if in_P(link) or g == 0:
         return True, Known(g)
     if not isinstance(link, HopfSum) and link.w == 0:
         # Balanced orientations bound annuli in the four-ball.
@@ -200,13 +182,10 @@ def _g4_status(link: SeifertLink) -> tuple[bool, FourGenus]:
 def is_definite(link: SeifertLink) -> bool:
     """Whether the link bounds a surface with definite symmetrized Seifert
     form realizing the genus."""
-    return _is_definite(normalize(link))
-
-
-def _is_definite(link: SeifertLink) -> bool:
+    link = normalize(link)
     if isinstance(link, HopfSum):
         return link.minus == 0
-    if _is_ade(link) is not None:
+    if is_ade(link) is not None:
         return True
     if isinstance(link, ZeroCore) and link.k == 2 and link.w == 0:
         return True
@@ -222,18 +201,14 @@ def is_ade_up_to_orientation(link: SeifertLink) -> bool:
 
     Raises NotPrime on composite input.  Equivalent to positivity of the
     orbifold Euler characteristic of the double-cover base; the suite
-    checks that equivalence against the orbifold module.
+    checks that equivalence against the orbifold module.  Decided in
+    integers: the double-cover base has cone orders 2 (k times), a and b,
+    and its Euler characteristic 1/a + 1/b - k/2 is positive exactly when
+    k*a*b < 2(a + b).
     """
     link = normalize(link)
-    if not _is_prime(link):
+    if not is_prime(link):
         raise NotPrime("ADE membership up to orientation needs a prime link")
-    return _is_ade_up_to_orientation(link)
-
-
-def _is_ade_up_to_orientation(link: SeifertLink) -> bool:
-    """The same, for a canonical prime link, in integers: the double-cover
-    base has cone orders 2 (k times), a and b, and its Euler characteristic
-    1/a + 1/b - k/2 is positive exactly when k*a*b < 2(a + b)."""
     if isinstance(link, HopfSum):
         return True
     a = link.q if isinstance(link, ZeroCore) else 2 * link.q
@@ -259,27 +234,24 @@ class ClassificationReport(Record):
 
 
 def classification_report(link: SeifertLink) -> ClassificationReport:
-    return _classification_report(normalize(link))
-
-
-def _classification_report(link: SeifertLink) -> ClassificationReport:
-    prime = _is_prime(link)
-    positive = _in_P(link)
-    g = _genus(link)
-    equal, four_genus = _g4_status(link)
+    link = normalize(link)
+    prime = is_prime(link)
+    positive = in_P(link)
+    g = genus(link)
+    equal, four_genus = g4_status(link)
     return ClassificationReport(
         is_prime=prime,
-        is_fibred=_is_fibred(link),
+        is_fibred=is_fibred(link),
         in_P=positive,
         is_braid_positive=positive,
-        is_sqp=_is_sqp(link),
+        is_sqp=is_sqp(link),
         is_genus_zero=g == 0,
         g4_equals_g=equal,
         genus=g,
         g4=four_genus,
-        is_definite=_is_definite(link),
-        dynkin=_is_ade(link),
+        is_definite=is_definite(link),
+        dynkin=is_ade(link),
         ade_up_to_orientation=(
-            _is_ade_up_to_orientation(link) if prime else False
+            is_ade_up_to_orientation(link) if prime else False
         ),
     )

@@ -16,12 +16,12 @@ from typing import Any, Optional
 
 from . import tables
 from ._record import Row
-from .alexander import _delta, _determinant
+from .alexander import delta, determinant
 from .classify import (
     DynkinType,
     Known,
     StrictlyLessThanGenus,
-    _classification_report,
+    classification_report,
 )
 from .cover import (
     Catalog,
@@ -31,11 +31,10 @@ from .cover import (
     NoCTF_SeifertObstruction,
     PSL2R_Rep,
     PositiveBetti,
-    _canonical_star_status,
-    _general_psi_lo,
-    _jn_data,
-    _nlo_seifert_invariants,
-    _require_weighted_core,
+    _catalogued_invariants,
+    canonical_star_status,
+    general_psi_lo,
+    jn_data,
     jn_lo_sufficient,
 )
 from .errors import InvalidParameters, LinkInputError, LinkSyntaxError
@@ -46,8 +45,8 @@ from .link_model import (
     SeifertLink,
     TwoCore,
     ZeroCore,
-    _alias,
     _alias_to_raw_link,
+    alias,
     components,
     normalize,
     render,
@@ -55,11 +54,9 @@ from .link_model import (
 from .orbifold import (
     ConeOrbifold,
     FiniteGroupTag,
-    _b_bar,
-    _fibre_data,
-    _finite_group,
-    _require_level,
-    _require_prime,
+    b_bar,
+    fibre_data,
+    finite_group,
 )
 
 _CLASSIFY_CITATIONS = (
@@ -288,7 +285,7 @@ def _emit(record: list[Row], as_json: bool) -> int:
 def _link_rows(
     text: str, link: SeifertLink, alias_text: bool = True
 ) -> list[Row]:
-    found = _alias(link)
+    found = alias(link)
     name = found.name if found else None
     return [
         Row("link", text.strip(), "link"),
@@ -301,10 +298,10 @@ def _link_rows(
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    # Normalized once: the commands call the private bodies of the public
-    # functions, which take canonical links.
+    # Normalized once: the library functions below find the canonical flag
+    # on `link` and skip their own validation.
     link = normalize(parse_link(args.link))
-    report = _classification_report(link)
+    report = classification_report(link)
     return _emit(
         _link_rows(args.link, link)
         + [
@@ -325,8 +322,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 report.ade_up_to_orientation,
                 "ADE up to orientation",
             ),
-            Row("alexander", _delta(link), "alexander"),
-            Row("determinant", _determinant(link), "determinant"),
+            Row("alexander", delta(link), "alexander"),
+            Row("determinant", determinant(link), "determinant"),
             Row("citations", _CLASSIFY_CITATIONS),
         ],
         args.json,
@@ -357,9 +354,8 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     if args.weights is not None:
         weights = _parse_weights(args.weights)
         spec = CoverSpec(n, weights)
-        _require_weighted_core(link, spec)
-        data = _jn_data(link, spec)
-        outcome = _general_psi_lo(link, spec)
+        data = jn_data(link, spec)
+        outcome = general_psi_lo(link, spec)
         evidence = outcome.evidence if isinstance(outcome, LO) else None
         verdict = "inconclusive" if evidence is None else "left-orderable"
         return _emit(
@@ -379,13 +375,11 @@ def _cmd_cover(args: argparse.Namespace) -> int:
             args.json,
         )
 
-    _require_level(n)  # the checks of `b_bar`, in its order
-    _require_prime(link)
-    base = _b_bar(link, n)
-    fibre = _fibre_data(link, n)
-    group = _finite_group(link, n)
-    status = _canonical_star_status(link, n)
-    invariants = _nlo_seifert_invariants(link, n)
+    base = b_bar(link, n)
+    fibre = fibre_data(link, n)
+    group = finite_group(link, n)
+    status = canonical_star_status(link, n)
+    invariants = _catalogued_invariants(link, n)
     unwrapped_base = base.cone_orders if fibre.r == n else None
     pi1_text = "infinite" if group is None else f"finite: {group.label}"
     if group is not None and group.group_order is not None:

@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from ._record import Record
-from .alexander import _cyclotomic_divides
-from .classify import _is_ade_up_to_orientation
+from .alexander import cyclotomic_divides
+from .classify import is_ade_up_to_orientation
 from .errors import (
     InvalidParameters,
     InvariantViolation,
@@ -43,9 +43,9 @@ from .link_model import (
 )
 from .orbifold import (
     FiniteGroupTag,
-    _finite_group,
     _require_level,
     _require_prime,
+    finite_group,
 )
 
 __all__ = [
@@ -126,10 +126,13 @@ def canonical_weights(link: SeifertLink, n: int) -> CoverSpec:
     """The weights of the canonical n-fold cover of the link as oriented:
     1 on positively oriented components, n-1 on reversed ones."""
     _require_level(n)
-    return CoverSpec(n, _canonical_weights(_require_core(normalize(link)), n))
+    link = _require_core(normalize(link))
+    return CoverSpec(n, _canonical_weight_tuple(link, n))
 
 
-def _canonical_weights(link: SeifertLink, n: int) -> tuple[int, ...]:
+def _canonical_weight_tuple(link: SeifertLink, n: int) -> tuple[int, ...]:
+    """The weights of `canonical_weights` as a bare tuple, for the callers
+    that need no `CoverSpec`."""
     positives = (link.k + link.w) // 2
     weights = (1,) * positives + (n - 1,) * (link.k - positives)
     if isinstance(link, OneCore):
@@ -158,10 +161,7 @@ def jn_data(link: SeifertLink, spec: CoverSpec) -> JNData:
     contributes weight/(n m); an unbranched exceptional fibre of
     multiplicity m > 1 contributes the background angle 1/m.
     """
-    return _jn_data(_require_weighted_core(normalize(link), spec), spec)
-
-
-def _jn_data(link: SeifertLink, spec: CoverSpec) -> JNData:
+    link = _require_weighted_core(normalize(link), spec)
     return _jn_record(link, spec.n, *_angles(link, spec.n, spec.weights))
 
 
@@ -227,7 +227,7 @@ def nlo_seifert_invariants(link: SeifertLink, n: int) -> SeifertInvariants:
     """
     _require_level(n)
     link = normalize(link)
-    invariants = _nlo_seifert_invariants(link, n)
+    invariants = _catalogued_invariants(link, n)
     if invariants is None:
         raise NotInCatalog(
             "no non-foliation Seifert-invariant certificate is catalogued "
@@ -236,9 +236,11 @@ def nlo_seifert_invariants(link: SeifertLink, n: int) -> SeifertInvariants:
     return invariants
 
 
-def _nlo_seifert_invariants(
+def _catalogued_invariants(
     link: SeifertLink, n: int
 ) -> Optional[SeifertInvariants]:
+    """The certificate of `nlo_seifert_invariants`, or None where the
+    catalog has none."""
     if (
         isinstance(link, ZeroCore)
         and (link.p, link.q, link.k, link.w) == (1, 1, 3, 1)
@@ -332,20 +334,15 @@ def general_psi_lo(
     reflection, and (when the weights describe a canonical cover of a
     reorientation) the cyclotomic Betti-number witness.
     """
-    return _general_psi_lo(_require_weighted_core(normalize(link), spec), spec)
-
-
-def _general_psi_lo(
-    link: SeifertLink, spec: CoverSpec
-) -> Union[LO, Inconclusive]:
-    if not _is_ade_up_to_orientation(link):
+    link = _require_weighted_core(normalize(link), spec)
+    if not is_ade_up_to_orientation(link):
         return _LO_NONPOSITIVE_CHI
     data = _rotation_witness(link, spec.n, spec.weights)
     if data is not None:
         return LO(PSL2R_Rep(data))
     if all(a in (1, spec.n - 1) for a in spec.weights):
         reoriented = _link_of_weights(link, spec)
-        if _cyclotomic_divides(spec.n, reoriented):
+        if cyclotomic_divides(spec.n, reoriented):
             return LO(PositiveBetti(spec.n))
     return _INCONCLUSIVE
 
@@ -425,27 +422,23 @@ def canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
     link = _require_prime(
         normalize(link), "star status is defined for prime links only"
     )
-    return _canonical_star_status(link, n)
-
-
-def _canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
-    if _is_ade_up_to_orientation(link):
-        group = _finite_group(link, n)
+    if is_ade_up_to_orientation(link):
+        group = finite_group(link, n)
         if group is not None:
             return StarStatus(False, FinitePi1(group))
         if n == 2:
             # The double cover of an ADE link is spherical.
             raise InvariantViolation(f"infinite group for {link!r} at n=2")
-        invariants = _nlo_seifert_invariants(link, n)
+        invariants = _catalogued_invariants(link, n)
         if invariants is not None:
             return StarStatus(False, NoCTF_SeifertObstruction(invariants))
         if isinstance(link, ZeroCore) and (link.p, link.k, link.w) == (1, 2, 0):
             return _TWO_BRIDGE
-        if _cyclotomic_divides(n, link):
+        if cyclotomic_divides(n, link):
             return StarStatus(True, PositiveBetti(n))
-    data = _rotation_witness(link, n, _canonical_weights(link, n))
+    data = _rotation_witness(link, n, _canonical_weight_tuple(link, n))
     if data is not None:
         return StarStatus(True, PSL2R_Rep(data))
-    if _cyclotomic_divides(n, link):
+    if cyclotomic_divides(n, link):
         return StarStatus(True, PositiveBetti(n))
     return _HOROFOLIATION

@@ -16,10 +16,11 @@ fibration minus number against it), and each sign records the orientation
 of an included core circle.
 
 Different parameter tuples can denote the same oriented link.  `normalize`
-rewrites any valid tuple to the unique canonical representative, and a
-link it returned passes through it again in O(1).  Every public function
-of the package applies it once to its argument; the private bodies behind
-them take links already in that normal form.
+rewrites any valid tuple to the unique canonical representative and flags
+it, and a flagged link passes through it again in O(1).  Every public
+function of the package starts with `link = normalize(link)`, so a link
+is validated and rewritten once, where it enters, and the inner calls on
+it cost one flag test each.
 """
 
 from __future__ import annotations
@@ -322,10 +323,7 @@ class LinkAlias(Record):
 
 def alias(link: SeifertLink) -> Optional[LinkAlias]:
     """The catalogued torus/pretzel name of `link`, if it has one."""
-    return _alias(normalize(link))
-
-
-def _alias(link: SeifertLink) -> Optional[LinkAlias]:
+    link = normalize(link)
     if isinstance(link, HopfSum):
         if (link.plus, link.minus) == (1, 0):
             return LinkAlias("T(2,2)")
@@ -437,13 +435,10 @@ def reorient_to_P(link: SeifertLink) -> SeifertLink:
     The result is the canonical form of the same underlying unoriented
     link with w = k and positive core signs.
     """
-    return _reorient_to_P(normalize(link))
-
-
-def _reorient_to_P(link: SeifertLink) -> SeifertLink:
+    link = normalize(link)
     if isinstance(link, HopfSum):
-        return HopfSum(link.plus + link.minus, 0)
-    if isinstance(link, ZeroCore):
+        fresh = HopfSum(link.plus + link.minus, 0)
+    elif isinstance(link, ZeroCore):
         fresh = ZeroCore(link.p, link.q, link.k, link.k)
     elif isinstance(link, OneCore):
         fresh = OneCore(link.p, link.q, link.k, link.k, 1)

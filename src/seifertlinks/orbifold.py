@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from ._record import Record
-from .classify import DynkinType, _is_ade, _is_prime
+from .classify import DynkinType, is_ade, is_prime
 from .errors import InvalidParameters, InvariantViolation, NotPrime
 from .link_model import (
     HopfSum,
@@ -25,8 +25,8 @@ from .link_model import (
     SeifertLink,
     TwoCore,
     ZeroCore,
-    _reorient_to_P,
     normalize,
+    reorient_to_P,
 )
 
 __all__ = [
@@ -104,7 +104,7 @@ def _require_prime(
     message: str = "branched-cover analysis applies to prime links only",
 ) -> SeifertLink:
     """The canonical `link` itself, once it is known to be prime."""
-    if not _is_prime(link):
+    if not is_prime(link):
         raise NotPrime(message)
     return link
 
@@ -117,10 +117,7 @@ def b_bar(link: SeifertLink, n: int) -> ConeOrbifold:
     corresponding core is part of the link.
     """
     _require_level(n)
-    return _b_bar(_require_prime(normalize(link)), n)
-
-
-def _b_bar(link: SeifertLink, n: int) -> ConeOrbifold:
+    link = _require_prime(normalize(link))
     if isinstance(link, HopfSum):
         return ConeOrbifold.build((n, n))
     if isinstance(link, ZeroCore):
@@ -147,10 +144,7 @@ class FibreCoverData(Record):
 
 def fibre_data(link: SeifertLink, n: int) -> FibreCoverData:
     _require_level(n)
-    return _fibre_data(_require_prime(normalize(link)), n)
-
-
-def _fibre_data(link: SeifertLink, n: int) -> FibreCoverData:
+    link = _require_prime(normalize(link))
     # The prime Hopf link enters through its coreless presentation with
     # p = q = 1 and two positively oriented copies.
     s = 2 if isinstance(link, HopfSum) else link.w * link.p * link.q
@@ -232,15 +226,12 @@ def finite_group(link: SeifertLink, n: int) -> Optional[FiniteGroupTag]:
     one genuinely unidentified case is reported as such.
     """
     _require_level(n)
-    return _finite_group(_require_prime(normalize(link)), n)
-
-
-def _finite_group(link: SeifertLink, n: int) -> Optional[FiniteGroupTag]:
-    base = _b_bar(link, n)
+    link = normalize(link)
+    base = b_bar(link, n)  # also requires a prime link
     if _chi_terms(base.cone_orders)[0] <= 0:
         return None
     if n == 2:
-        dynkin = _is_ade(_reorient_to_P(link))
+        dynkin = is_ade(reorient_to_P(link))
         if dynkin is None:
             raise InvariantViolation(f"spherical double cover of non-ADE {link!r}")
         return _two_fold_group(dynkin)

@@ -5,27 +5,27 @@ operations, and returns one `Row` list per table row: the record the CLI
 prints, whose labels are the column headers of the text table.  Nothing
 here is frozen data: the tables are recomputed on every call, so they stay
 consistent with the library by construction.  Every candidate link is
-normalized once, and the builders call the private bodies of the library
-functions on the canonical links.  The test suite compares the tables
+normalized once; the library functions then take the flagged canonical
+link without checking it again.  The test suite compares the tables
 against independently frozen expectations.
 """
 
 from __future__ import annotations
 
 from ._record import Row
-from .alexander import _cyclotomic_divides, _determinant
-from .classify import DynkinType, _is_ade, ade_link
-from .cover import _canonical_star_status
+from .alexander import cyclotomic_divides, determinant
+from .classify import DynkinType, ade_link, is_ade
+from .cover import canonical_star_status
 from .errors import InvariantViolation, UnknownTable
 from .link_model import (
     OneCore,
     SeifertLink,
     ZeroCore,
-    _alias,
-    _reorient_to_P,
+    alias,
     normalize,
+    reorient_to_P,
 )
-from .orbifold import _b_bar, _finite_group
+from .orbifold import b_bar, finite_group
 
 __all__ = ["TABLE_NAMES", "build_table"]
 
@@ -39,7 +39,7 @@ _MAX_N = 12
 
 
 def _alias_row(link: SeifertLink) -> Row:
-    found = _alias(link)
+    found = alias(link)
     return Row("alias", found.name if found else None, "alias")
 
 
@@ -63,7 +63,7 @@ def ade_two_fold_rows() -> Table:
     rows = []
     for dynkin in _ade_types():
         link = normalize(ade_link(dynkin))
-        group = _finite_group(link, 2)
+        group = finite_group(link, 2)
         if group is None:
             raise InvariantViolation(f"infinite group for {link!r} at n=2")
         rows.append(
@@ -73,7 +73,7 @@ def ade_two_fold_rows() -> Table:
                 _alias_row(link),
                 Row("group", group, "pi1(Sigma_2)"),
                 Row(None, group.group_order, "order"),
-                Row("determinant", _determinant(link), "det"),
+                Row("determinant", determinant(link), "det"),
             ]
         )
     return tuple(rows)
@@ -87,11 +87,11 @@ def _family_row(
     common base orbifold and the positively reoriented link, which is
     returned again for the table's own last column."""
     instances = _dedupe(raw_instances)
-    bases = {_b_bar(link, n) for link in instances}
+    bases = {b_bar(link, n) for link in instances}
     if len(bases) != 1:
         raise InvariantViolation(f"family {family} has mixed bases at n={n}")
     base = bases.pop()
-    reoriented = _reorient_to_P(instances[0])
+    reoriented = reorient_to_P(instances[0])
     return [
         Row("n", n, "n"),
         Row("family", family, "family"),
@@ -107,7 +107,7 @@ def _spherical_row(
     """A family whose n-fold cover base is spherical, with the Dynkin type
     of its reoriented link."""
     row, reoriented = _family_row(n, family, raw_instances)
-    dynkin = _is_ade(reoriented)
+    dynkin = is_ade(reoriented)
     if dynkin is None:
         raise InvariantViolation(f"family {family} is not ADE up to orientation")
     return row + [Row("dynkin", dynkin, "type")]
@@ -177,7 +177,7 @@ def _euclidean_row(
     """A family whose n-fold cover base is Euclidean, with the
     cyclotomic Betti-number witness for the reoriented link."""
     row, reoriented = _family_row(n, family, raw_instances)
-    betti_positive = _cyclotomic_divides(n, reoriented)
+    betti_positive = cyclotomic_divides(n, reoriented)
     return row + [Row("betti_positive", betti_positive, "betti>0")]
 
 
@@ -217,7 +217,7 @@ def higher_finite_rows() -> Table:
     for link in candidates:
         alias_row = _alias_row(link)
         for n in range(3, _MAX_N + 1):
-            group = _finite_group(link, n)
+            group = finite_group(link, n)
             if group is not None:
                 rows.append(
                     [
@@ -244,7 +244,7 @@ def canonical_status_rows() -> Table:
     rows = []
     for link in _dedupe(candidates):
         statuses = [
-            (n, _canonical_star_status(link, n)) for n in range(2, _MAX_N + 1)
+            (n, canonical_star_status(link, n)) for n in range(2, _MAX_N + 1)
         ]
         rows.append(
             [

@@ -342,7 +342,7 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     def boom(link):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(cli, "_classification_report", boom)
+    monkeypatch.setattr(cli, "classification_report", boom)
     assert main(["classify", "T(2,3)"]) == 3
     assert capsys.readouterr().err == "internal error: synthetic failure\n"
 
@@ -350,7 +350,7 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
         raise MemoryError()
 
     # An exception without a message is reported by its class name.
-    monkeypatch.setattr(cli, "_classification_report", exhausted)
+    monkeypatch.setattr(cli, "classification_report", exhausted)
     assert main(["classify", "T(2,3)"]) == 3
     assert capsys.readouterr().err == "internal error: MemoryError\n"
 
@@ -402,7 +402,7 @@ def test_broken_invariant_exits_3(capsys, monkeypatch):
     # Invariants are checks that raise, not asserts `python -O` strips.
     import seifertlinks.tables as tables
 
-    monkeypatch.setattr(tables, "_finite_group", lambda link, n: None)
+    monkeypatch.setattr(tables, "finite_group", lambda link, n: None)
     assert main(["table", "ade-2fold"]) == 3
     assert capsys.readouterr().err.startswith("internal error: infinite group")
 
@@ -411,7 +411,7 @@ def test_infinite_ade_double_cover_exits_3(capsys, monkeypatch):
     # The verdict's own group check fails, not the input.
     import seifertlinks.cover as cover
 
-    monkeypatch.setattr(cover, "_finite_group", lambda link, n: None)
+    monkeypatch.setattr(cover, "finite_group", lambda link, n: None)
     assert main(["cover", "T(2,3)", "--n", "2"]) == 3
     assert capsys.readouterr().err.startswith("internal error: infinite group")
 

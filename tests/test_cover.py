@@ -360,7 +360,7 @@ def test_infinite_double_cover_of_an_ade_link_is_a_broken_invariant(
     # spherical; an infinite group there is a fault, not a rejected input.
     import seifertlinks.cover as cover
 
-    monkeypatch.setattr(cover, "_finite_group", lambda link, n: None)
+    monkeypatch.setattr(cover, "finite_group", lambda link, n: None)
     with pytest.raises(InvariantViolation):
         canonical_star_status(ZeroCore(2, 3, 1, 1), 2)
 

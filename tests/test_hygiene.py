@@ -1,7 +1,8 @@
 """Static hygiene of the package sources: no unused imports, no `__all__`
 entry that names nothing, no private function that nothing calls, no
-`assert`, no `dataclasses`, no unbounded memo, and no code outside
-`link_model.normalize` that sets the canonical flag.
+public name with a private twin, no `assert`, no `dataclasses`, no
+unbounded memo, and no code outside `link_model.normalize` that sets the
+canonical flag.
 
 The checks read the sources with the standard `ast` module, so they see
 names, not behaviour: a name counts as used when it appears anywhere in
@@ -74,9 +75,9 @@ def test_no_unused_imports():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-def _bound_at_top_level(tree: ast.Module) -> set[str]:
-    """Names a module defines, assigns or imports at its top level."""
-    bound = {name for name, _ in _imported_names(tree)}
+def _defined_at_top_level(tree: ast.Module) -> set[str]:
+    """Names a module defines or assigns at its top level."""
+    bound = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             bound.add(node.name)
@@ -84,6 +85,11 @@ def _bound_at_top_level(tree: ast.Module) -> set[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound |= {t.id for t in targets if isinstance(t, ast.Name)}
     return bound
+
+
+def _bound_at_top_level(tree: ast.Module) -> set[str]:
+    """Names a module defines, assigns or imports at its top level."""
+    return _defined_at_top_level(tree) | {n for n, _ in _imported_names(tree)}
 
 
 def _exported_names(tree: ast.Module) -> list[str]:
@@ -126,6 +132,21 @@ def test_no_unreferenced_private_functions():
     assert not unreferenced, "unreferenced private functions: " + ", ".join(
         unreferenced
     )
+
+
+def test_no_public_name_has_a_private_twin():
+    # The canonical flag is the one normalize-once mechanism: a public
+    # function normalizes its argument and runs its own body, so no
+    # private `_f` repeats the body of a public `f`.
+    twins = []
+    for path in SOURCES:
+        defined = _defined_at_top_level(_tree(path))
+        twins += [
+            f"{path.name} {name}"
+            for name in sorted(defined)
+            if not name.startswith("_") and "_" + name in defined
+        ]
+    assert not twins, "public names with a private twin: " + ", ".join(twins)
 
 
 def test_no_assert_statements():

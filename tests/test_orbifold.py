@@ -21,9 +21,12 @@ from seifertlinks import (
     InvalidParameters,
     NotPrime,
     OneCore,
+    PositiveBetti,
     TwoCore,
     ZeroCore,
     b_bar,
+    canonical_star_status,
+    cyclotomic_divides,
     determinant,
     fibre_data,
     finite_group,
@@ -218,6 +221,31 @@ def test_h1_orders_match_the_cover_oracle(grid):
     # The one group outside the catalog keeps its label; its H_1 has
     # order 12.
     assert unidentified == [(ZeroCore(1, 2, 2, 0), 3, 12)]
+
+
+def test_betti_rungs_match_the_cover_oracle(grid):
+    # H_1 of the n-fold cover is infinite, and the oracle order 0, exactly
+    # when Delta vanishes at an n-th root of unity other than 1, that is
+    # when Phi_d divides Delta for some d | n with d > 1.  Every
+    # PositiveBetti verdict must sit on such a rung.
+    infinite = 0
+    for link in grid:
+        if not is_prime(link):
+            continue
+        terms = reference_delta(link).terms
+        for n in range(2, 13):
+            order = cyclic_cover_h1_order(terms, n)
+            rung = any(
+                cyclotomic_divides(d, link)
+                for d in range(2, n + 1)
+                if n % d == 0
+            )
+            assert (order == 0) == rung, (link, n, order)
+            infinite += order == 0
+            evidence = canonical_star_status(link, n).evidence
+            if isinstance(evidence, PositiveBetti):
+                assert order == 0, (link, n)
+    assert infinite > 1000
 
 
 def test_group_tag_labels_and_orders():
