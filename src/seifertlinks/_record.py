@@ -11,8 +11,14 @@ load `dataclasses` or `inspect`.
 
 Fields are stored with `object.__setattr__`, never through `self.__dict__`:
 touching `__dict__` turns the instance's compact attribute storage into a
-real dict, and every later attribute read gets several times slower.  A hot
-record may define a direct `__init__` that stores its fields the same way.
+real dict, and every later attribute read gets several times slower.
+`Record.__init__` stores positional fields in one pass over the field
+names; only a keyword call or a wrong argument count goes through
+`_arrange`, which checks the arguments.  A hot record defines a direct
+`__init__` that stores its fields the same way: `LaurentPoly` and
+`ConeOrbifold`, and `JNData` and `StarStatus`, which are built once per
+rotation or star verdict (`StarStatus` calls its `__post_init__` check
+itself).
 """
 
 from __future__ import annotations
@@ -52,9 +58,10 @@ class Record:
         cls._checked = hasattr(cls, "__post_init__")
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
-        if kwargs or len(args) != len(self._fields):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
             args = _arrange(type(self), args, kwargs)
-        for name, value in zip(self._fields, args):
+        for name, value in zip(fields, args):
             _setattr(self, name, value)
         if self._checked:
             self.__post_init__()

@@ -8,7 +8,6 @@ names), 3 internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -273,6 +272,8 @@ def _text_cells(record: list[Row]) -> list[tuple[str, str]]:
 
 def _emit(record: list[Row], as_json: bool) -> int:
     if as_json:
+        import json  # only here: a text query never loads the json package
+
         print(json.dumps(_json_object(record), indent=2, default=_encode))
         return 0
     cells = _text_cells(record)

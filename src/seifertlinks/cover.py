@@ -153,6 +153,14 @@ class JNData(Record):
     sigma: Fraction
     r: int
 
+    def __init__(
+        self, thetas: tuple[Fraction, ...], sigma: Fraction, r: int
+    ) -> None:
+        # Direct, not Record.__init__: one per rotation verdict.
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "r", r)
+
 
 def jn_data(link: SeifertLink, spec: CoverSpec) -> JNData:
     """Cone angles of the weighted cover.
@@ -162,11 +170,42 @@ def jn_data(link: SeifertLink, spec: CoverSpec) -> JNData:
     multiplicity m > 1 contributes the background angle 1/m.
     """
     link = _require_weighted_core(normalize(link), spec)
-    return _jn_record(link, spec.n, *_angles(link, spec.n, spec.weights))
+    total = _sigma_sums(link, spec.n, spec.weights)[1]
+    return _jn_record(link, spec.n, spec.weights, total)
 
 
-def _angles(link: SeifertLink, n: int, weights: tuple) -> tuple[list, int]:
-    """(numerator, denominator) of each angle, and the integer sigma*npq."""
+def _sigma_sums(
+    link: SeifertLink, n: int, weights: tuple[int, ...]
+) -> tuple[int, int, int]:
+    """(r, sigma*npq of the cover, sigma*npq of its reflection), in
+    integers straight from the weights: every angle's denominator divides
+    n*p*q, and reflecting sends each weight a to n - a."""
+    k, p, q = link.k, link.p, link.q
+    copies = sum(weights)  # less the core weights below
+    # `tail` and `reflected_tail` sum the angles after the k copies.
+    if isinstance(link, ZeroCore):
+        # Unbranched fibres, 1/q and 1/p, are the same on both sides.
+        tail = reflected_tail = (n * p if q > 1 else 0) + (n * q if p > 1 else 0)
+        r = k + (q > 1) + (p > 1)
+    elif isinstance(link, OneCore):
+        c = weights[k]
+        copies -= c
+        fibre = n * q if p > 1 else 0
+        tail = c * p + fibre
+        reflected_tail = (n - c) * p + fibre
+        r = k + 1 + (p > 1)
+    else:
+        c1, c2 = weights[k], weights[k + 1]
+        copies -= c1 + c2
+        tail = c1 * p + c2 * q
+        reflected_tail = (n - c1) * p + (n - c2) * q
+        r = k + 2
+    pq = p * q
+    return r, pq * copies + tail, pq * (k * n - copies) + reflected_tail
+
+
+def _angles(link: SeifertLink, n: int, weights: tuple[int, ...]) -> list:
+    """(numerator, denominator) of each angle of the weighted cover."""
     angles = [(weights[i], n) for i in range(link.k)]
     if isinstance(link, ZeroCore):
         angles += [(1, m) for m in (link.q, link.p) if m > 1]
@@ -177,12 +216,15 @@ def _angles(link: SeifertLink, n: int, weights: tuple) -> tuple[list, int]:
     else:
         angles.append((weights[link.k], n * link.q))
         angles.append((weights[link.k + 1], n * link.p))
-    # Every denominator divides n*p*q: sum the numerators over it.
-    common = n * link.p * link.q
-    return angles, sum(a * (common // d) for a, d in angles)
+    return angles
 
 
-def _jn_record(link: SeifertLink, n: int, angles: list, total: int) -> JNData:
+def _jn_record(
+    link: SeifertLink, n: int, weights: tuple[int, ...], total: int
+) -> JNData:
+    """The record of the cover with these weights, whose sigma*npq is
+    `total`."""
+    angles = _angles(link, n, weights)
     # The k branch copies often share one angle: one Fraction per value.
     made = {angle: Fraction(*angle) for angle in set(angles)}
     thetas = tuple(map(made.__getitem__, angles))
@@ -352,12 +394,18 @@ def _rotation_witness(
 ) -> Optional[JNData]:
     """Rotation-number data forcing a left-orderable lift, read from the
     cover with these weights or else from its reflection; None when
-    neither suffices.  The test runs on the integer sigma*npq; only the
-    winning record is built."""
-    for weights in (weights, tuple(n - a for a in weights)):
-        angles, total = _angles(link, n, weights)
-        if _lo_sufficient(len(angles), total, n * link.p * link.q):
-            return _jn_record(link, n, angles, total)
+    neither suffices.
+
+    Both sides are tested on the integer sigma*npq of `_sigma_sums`, so
+    no angle and no reflected weight is built for a side that fails; the
+    angle list, and the reflected weights when the reflection wins, are
+    built once, for the one record returned."""
+    r, total, reflected = _sigma_sums(link, n, weights)
+    common = n * link.p * link.q
+    if _lo_sufficient(r, total, common):
+        return _jn_record(link, n, weights, total)
+    if _lo_sufficient(r, reflected, common):
+        return _jn_record(link, n, tuple(n - a for a in weights), reflected)
     return None
 
 
@@ -370,13 +418,16 @@ def _link_of_weights(link: SeifertLink, spec: CoverSpec) -> SeifertLink:
     """
     balance = sum(1 if a == 1 else -1 for a in spec.weights[: link.k])
     if isinstance(link, ZeroCore):
-        return normalize(ZeroCore(link.p, link.q, link.k, balance))
-    if isinstance(link, OneCore):
+        fresh = ZeroCore(link.p, link.q, link.k, balance)
+    elif isinstance(link, OneCore):
         sign = 1 if spec.weights[link.k] == 1 else -1
-        return normalize(OneCore(link.p, link.q, link.k, balance, sign))
-    sign1 = 1 if spec.weights[link.k] == 1 else -1
-    sign2 = 1 if spec.weights[link.k + 1] == 1 else -1
-    return normalize(TwoCore(link.p, link.q, link.k, balance, sign1, sign2))
+        fresh = OneCore(link.p, link.q, link.k, balance, sign)
+    else:
+        sign1 = 1 if spec.weights[link.k] == 1 else -1
+        sign2 = 1 if spec.weights[link.k + 1] == 1 else -1
+        fresh = TwoCore(link.p, link.q, link.k, balance, sign1, sign2)
+    # The canonical cover of the canonical link itself needs no rewriting.
+    return link if fresh == link else normalize(fresh)
 
 
 class StarStatus(Record):
@@ -390,6 +441,12 @@ class StarStatus(Record):
 
     star: bool
     evidence: Evidence
+
+    def __init__(self, star: bool, evidence: Evidence) -> None:
+        # Direct, not Record.__init__: one per star verdict.
+        object.__setattr__(self, "star", star)
+        object.__setattr__(self, "evidence", evidence)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         allowed = _STAR_EVIDENCE if self.star else _NOT_STAR_EVIDENCE

@@ -114,19 +114,30 @@ def b_bar(link: SeifertLink, n: int) -> ConeOrbifold:
 
     The branch copies each contribute a cone of order n; the exceptional
     fibres contribute their multiplicities, amplified by n when the
-    corresponding core is part of the link.
+    corresponding core is part of the link.  The two core orders are
+    placed among the k copies of n by comparison, and an order 1 is
+    dropped, so the orders come out sorted without a sort.
     """
     _require_level(n)
     link = _require_prime(normalize(link))
     if isinstance(link, HopfSum):
-        return ConeOrbifold.build((n, n))
+        return ConeOrbifold((n, n))
     if isinstance(link, ZeroCore):
-        cores = (link.q, link.p)
+        a, b = link.q, link.p
     elif isinstance(link, OneCore):
-        cores = (n * link.q, link.p)
+        a, b = n * link.q, link.p
     else:
-        cores = (n * link.q, n * link.p)
-    return ConeOrbifold.build((n,) * link.k + cores)
+        a, b = n * link.q, n * link.p
+    low, high = (a, b) if a <= b else (b, a)
+    copies = (n,) * link.k
+    if low >= n:
+        return ConeOrbifold(copies + (low, high))
+    if high > n:
+        return ConeOrbifold(((low,) if low > 1 else ()) + copies + (high,))
+    # Both orders are at most n, and only they can be a trivial 1.
+    if low > 1:
+        return ConeOrbifold((low, high) + copies)
+    return ConeOrbifold(((high,) if high > 1 else ()) + copies)
 
 
 class FibreCoverData(Record):

@@ -155,8 +155,9 @@ def test_jn_sufficiency_thresholds():
 
 def fraction_ladder(link, spec):
     """Reference for the rotation witness: the Fraction angles of the cover,
-    then of its reflection, each tested on its Fraction sigma."""
-    for candidate in (spec, spec.reflected()):
+    then of its reflection, each tested on its Fraction sigma.  Returns
+    the winning record and whether the reflection won, or (None, None)."""
+    for reflected, candidate in enumerate((spec, spec.reflected())):
         n, weights = candidate.n, candidate.weights
         thetas = [Fraction(a, n) for a in weights[: link.k]]
         if isinstance(link, ZeroCore):
@@ -170,8 +171,8 @@ def fraction_ladder(link, spec):
             thetas.append(Fraction(weights[link.k + 1], n * link.p))
         sigma, r = sum(thetas, Fraction(0)), len(thetas)
         if (r == 3 and not 1 <= sigma <= 2) or (r == 4 and sigma != 2) or r >= 5:
-            return JNData(tuple(thetas), sigma, r)
-    return None
+            return JNData(tuple(thetas), sigma, r), bool(reflected)
+    return None, None
 
 
 def test_rotation_witness_matches_the_fraction_ladder(grid):
@@ -179,6 +180,7 @@ def test_rotation_witness_matches_the_fraction_ladder(grid):
     # record; it must return what the Fraction ladder returns, None included.
     rng = random.Random(1616)
     outcomes = set()
+    reflections = 0
     for link in grid:
         if isinstance(link, HopfSum):
             continue
@@ -188,10 +190,13 @@ def test_rotation_witness_matches_the_fraction_ladder(grid):
                 sampled = (rng.randint(1, n - 1) for _ in specs[0].weights)
                 specs.append(CoverSpec(n, tuple(sampled)))
             for weights in specs:
-                expected = fraction_ladder(link, weights)
+                expected, reflected = fraction_ladder(link, weights)
                 assert _rotation_witness(link, n, weights.weights) == expected, (link, weights)
                 outcomes.add(None if expected is None else expected.r > 4)
+                reflections += bool(reflected)
     assert outcomes == {None, False, True}
+    # The reflected side must win too, or its sum would go untested.
+    assert reflections > 0
 
 
 # -- the non-foliation catalog ------------------------------------------------

@@ -237,6 +237,24 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert result.stdout.strip() == "[]", result.stdout
 
 
+def test_cli_import_does_not_load_json():
+    # Only `--json` output needs the json package; `_emit` imports it then.
+    code = (
+        "import seifertlinks.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'json'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]", result.stdout
+
+
 def _flag_writes(tree: ast.AST) -> list[int]:
     """Lines that assign the flag as an attribute or name it as a string,
     as `object.__setattr__` needs: a record's own `__setattr__` refuses."""

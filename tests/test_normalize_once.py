@@ -18,8 +18,12 @@ import pytest
 
 from seifertlinks import (
     TABLE_NAMES,
+    HopfSum,
     canonical_star_status,
+    canonical_weights,
     classification_report,
+    cover,
+    general_psi_lo,
     in_P,
     is_prime,
     link_model,
@@ -120,6 +124,35 @@ def test_no_call_renormalizes_a_canonical_link(grid, normalize_calls):
             canonical_star_status(unflagged, n)
             assert normalize_calls[0][0] is unflagged, (link, n)
             assert not renormalized(normalize_calls), (link, n)
+
+
+def test_psi_at_canonical_weights_rebuilds_no_link(grid, normalize_calls, monkeypatch):
+    # At the Betti rung `general_psi_lo` rebuilds the link its weights
+    # describe.  At the canonical weights that is the link itself, except
+    # at n = 2 outside P, where 1 = n - 1 and the weights describe the
+    # positive reorientation.
+    betti_tests = []
+    divides = cover.cyclotomic_divides
+
+    def counted(n, link):
+        betti_tests.append(link)
+        return divides(n, link)
+
+    monkeypatch.setattr(cover, "cyclotomic_divides", counted)
+    reached = 0
+    for link in grid:
+        if isinstance(link, HopfSum) or not is_prime(link):
+            continue
+        for n in range(2 if in_P(link) else 3, 8):
+            spec = canonical_weights(link, n)
+            betti_tests.clear()
+            normalize_calls.clear()
+            general_psi_lo(link, spec)
+            assert not normalize_calls, (link, n)
+            if betti_tests:
+                assert betti_tests == [link], (link, n)
+                reached += 1
+    assert reached > 50
 
 
 def test_a_canonical_link_passes_through_normalize_unchecked(grid, monkeypatch):

@@ -106,6 +106,47 @@ def test_cover_base_cones(link, n, cones):
     assert b_bar(link, n).cone_orders == cones
 
 
+def copies_and_cores(link, n):
+    """The number k of branch copies and the two core orders, read off the
+    link's shape: a core in the link is branched, so its order is n m."""
+    if isinstance(link, HopfSum):
+        return 2, ()
+    if isinstance(link, ZeroCore):
+        return link.k, (link.q, link.p)
+    if isinstance(link, OneCore):
+        return link.k, (n * link.q, link.p)
+    return link.k, (n * link.q, n * link.p)
+
+
+def placement(order, n):
+    if order == 1:
+        return "trivial"
+    if order < n:
+        return "below"
+    return "at" if order == n else "above"
+
+
+def test_placed_cone_orders_are_the_sorted_nontrivial_orders(grid):
+    # `b_bar` places the core orders among the copies of n instead of
+    # sorting; compare with the definition at every index of the
+    # acceptance suite and at large n = 60p.
+    seen = set()
+    for link in grid:
+        if not is_prime(link):
+            continue
+        for n in [*range(2, 61), *(60 * p for p in (17, 101, 251))]:
+            k, cores = copies_and_cores(link, n)
+            orders = (n,) * k + cores
+            expected = tuple(sorted(o for o in orders if o > 1))
+            assert b_bar(link, n).cone_orders == expected, (link, n)
+            if isinstance(link, HopfSum):
+                seen.add("hopf")
+            seen |= {placement(order, n) for order in cores}
+            if min(cores, default=n) < n < max(cores, default=n):
+                seen.add("copies between")
+    assert seen == {"hopf", "trivial", "below", "at", "above", "copies between"}
+
+
 def test_composite_links_are_rejected():
     with pytest.raises(NotPrime):
         b_bar(HopfSum(2, 1), 2)
