@@ -15,10 +15,9 @@ real dict, and every later attribute read gets several times slower.
 `Record.__init__` stores positional fields in one pass over the field
 names; only a keyword call or a wrong argument count goes through
 `_arrange`, which checks the arguments.  A hot record defines a direct
-`__init__` that stores its fields the same way: `LaurentPoly` and
-`ConeOrbifold`, and `JNData` and `StarStatus`, which are built once per
-rotation or star verdict (`StarStatus` calls its `__post_init__` check
-itself).
+`__init__` that stores its fields the same way: `ConeOrbifold`, and
+`JNData` and `StarStatus`, which are built once per rotation or star
+verdict (`StarStatus` calls its `__post_init__` check itself).
 """
 
 from __future__ import annotations

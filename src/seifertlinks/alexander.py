@@ -7,8 +7,10 @@ to units its one-variable Alexander polynomial is
 
 over two short lists of positive exponents (None stands for the zero
 polynomial).  Breadth, genus, determinant and cyclotomic divisibility
-are read off the exponents directly; only `delta` expands the product,
-term by term, so its cost follows the number of terms, not the breadth.
+are read off the exponents directly.  Only `delta` expands the product,
+term by term in a dictionary of coefficients, and wraps the sorted terms
+in the one `LaurentPoly` it returns; its cost follows the number of
+terms, not the breadth.  No polynomial arithmetic is done elsewhere.
 """
 
 from __future__ import annotations
@@ -63,15 +65,18 @@ def _cyclotomic_count(n: int, factored: _Factored) -> int:
     return sum(m % n == 0 for m in numerator) - sum(d % n == 0 for d in denominator)
 
 
-def _divide_by_one_minus_power(poly: LaurentPoly, d: int) -> LaurentPoly:
-    """Exact quotient of `poly` by 1 - t^d.
+def _divide_by_one_minus_power(
+    terms: list[tuple[int, int]], d: int
+) -> list[tuple[int, int]]:
+    """Exact quotient by 1 - t^d of the polynomial with these sorted
+    (exponent, coefficient) terms, as sorted terms.
 
     Along each residue class mod d the quotient's coefficients are the
-    running sums of poly's coefficients, constant from one exponent of
-    the class to the next, so only the stretches where that sum is
-    nonzero are visited."""
+    running sums of the dividend's coefficients, constant from one
+    exponent of the class to the next, so only the stretches where that
+    sum is nonzero are visited."""
     classes: dict[int, list[tuple[int, int]]] = {}
-    for exp, coef in poly.terms:
+    for exp, coef in terms:
         classes.setdefault(exp % d, []).append((exp, coef))
     runs = []
     for chain in classes.values():
@@ -81,37 +86,46 @@ def _divide_by_one_minus_power(poly: LaurentPoly, d: int) -> LaurentPoly:
             if total:
                 runs.append((range(start, stop, d), total))
         if total + chain[-1][1]:
-            raise InvariantViolation(f"1 - t^{d} does not divide {poly}")
+            raise InvariantViolation(f"1 - t^{d} does not divide {terms}")
     # Sized before it is filled, so a quotient too large for memory fails
     # at once instead of growing until the machine runs out.
-    terms: list = [None] * sum(len(span) for span, _ in runs)
+    quotient: list = [None] * sum(len(span) for span, _ in runs)
     filled = 0
     for span, total in runs:
-        terms[filled : filled + len(span)] = zip(span, repeat(total))
+        quotient[filled : filled + len(span)] = zip(span, repeat(total))
         filled += len(span)
-    terms.sort()
-    return LaurentPoly(tuple(terms))
+    quotient.sort()
+    return quotient
 
 
 def delta(link: SeifertLink) -> LaurentPoly:
     """One-variable Alexander polynomial, unit-normalized (lowest exponent
     0, positive constant term).
 
-    The numerator binomials are multiplied as sparse polynomials, then
-    each denominator binomial is divided out, so the cost follows the
-    number of terms rather than the breadth.  The zero polynomial occurs
-    exactly for ZeroCore links with w = 0 and k != 2.
+    The factored form is expanded term by term: the content is multiplied
+    by each numerator binomial in place, then each denominator binomial
+    is divided out, so the cost follows the number of terms rather than
+    the breadth, and one `LaurentPoly` is built at the end.  The zero
+    polynomial occurs exactly for ZeroCore links with w = 0 and k != 2.
     """
     factored = _factored(normalize(link))
     if factored is None:
-        return LaurentPoly.zero()
+        return LaurentPoly(())
     content, numerator, denominator = factored
-    poly = LaurentPoly.monomial(0, content)
+    coefficients = {0: content}
     for m in numerator:
-        poly = poly * LaurentPoly(((0, 1), (m, -1)))
+        # Highest exponent first: each coefficient is read before the
+        # shifted copy of a lower term lands on it.
+        for exp in sorted(coefficients, reverse=True):
+            shifted = coefficients.get(exp + m, 0) - coefficients[exp]
+            if shifted:
+                coefficients[exp + m] = shifted
+            else:
+                del coefficients[exp + m]
+    terms = sorted(coefficients.items())
     for d in denominator:
-        poly = _divide_by_one_minus_power(poly, d)
-    return poly
+        terms = _divide_by_one_minus_power(terms, d)
+    return LaurentPoly(tuple(terms))
 
 
 def determinant(link: SeifertLink) -> int:

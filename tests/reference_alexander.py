@@ -2,8 +2,8 @@
 against.
 
 These are the splice formulas written as products and exact quotients of
-expanded `LaurentPoly` values, with genus, determinant and cyclotomic
-divisibility read back off the expansion.  The package reads the same
+expanded `reference_laurent.Poly` values, with genus, determinant and
+cyclotomic divisibility read back off the expansion.  The package reads the same
 invariants off the factored form without expanding anything; the tests
 compare the two over the whole grid.  The genus-zero catalog is kept here
 for the same reason: the package derives the predicate from the genus.
@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 from functools import cache
 
+from reference_laurent import Poly
 from seifertlinks import (
     HopfSum,
     InvariantViolation,
-    LaurentPoly,
     NotCoprime,
     OneCore,
     ZeroCore,
@@ -34,24 +34,24 @@ class NotDivisible(ArithmeticError):
 # -- polynomial helpers ------------------------------------------------------------
 
 
-def one_minus_t_power(n: int) -> LaurentPoly:
+def one_minus_t_power(n: int) -> Poly:
     """The polynomial 1 - t^n (for any integer n, including negatives)."""
     if n == 0:
-        return LaurentPoly.zero()
-    return LaurentPoly.from_terms([(0, 1), (n, -1)])
+        return Poly.zero()
+    return Poly.from_terms([(0, 1), (n, -1)])
 
 
-def geometric_sum(step: int, count: int) -> LaurentPoly:
+def geometric_sum(step: int, count: int) -> Poly:
     """1 + t^step + t^(2 step) + ... with `count` terms (count >= 1)."""
     if count < 1 or step < 1:
         raise ValueError("geometric_sum needs count >= 1 and step >= 1")
-    return LaurentPoly(tuple((step * i, 1) for i in range(count)))
+    return Poly(tuple((step * i, 1) for i in range(count)))
 
 
-def power(poly: LaurentPoly, n: int) -> LaurentPoly:
+def power(poly: Poly, n: int) -> Poly:
     if n < 0:
         raise ValueError("negative powers are not polynomials")
-    out = LaurentPoly.one()
+    out = Poly.one()
     while n:
         if n & 1:
             out = out * poly
@@ -60,19 +60,19 @@ def power(poly: LaurentPoly, n: int) -> LaurentPoly:
     return out
 
 
-def compose_power(poly: LaurentPoly, m: int) -> LaurentPoly:
+def compose_power(poly: Poly, m: int) -> Poly:
     """Substitute t -> t^m (m >= 1)."""
     if m < 1:
         raise ValueError("substitution exponent must be positive")
-    return LaurentPoly(tuple((e * m, c) for e, c in poly.terms))
+    return Poly(tuple((e * m, c) for e, c in poly.terms))
 
 
-def div_exact(poly: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
+def div_exact(poly: Poly, divisor: Poly) -> Poly:
     """Exact quotient poly / divisor; NotDivisible on any remainder."""
     if divisor.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if poly.is_zero:
-        return LaurentPoly.zero()
+        return Poly.zero()
     # Work with ordinary polynomials and restore the exponent shift at
     # the end; Laurent units are invertible so this loses nothing.
     low, div_low = poly.min_exp, divisor.min_exp
@@ -96,10 +96,10 @@ def div_exact(poly: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
                 rem[k] = v
             else:
                 rem.pop(k, None)
-    return LaurentPoly.from_terms((e + low - div_low, c) for e, c in quot.items())
+    return Poly.from_terms((e + low - div_low, c) for e, c in quot.items())
 
 
-def divisible_by(poly: LaurentPoly, divisor: LaurentPoly) -> bool:
+def divisible_by(poly: Poly, divisor: Poly) -> bool:
     try:
         div_exact(poly, divisor)
     except NotDivisible:
@@ -108,7 +108,7 @@ def divisible_by(poly: LaurentPoly, divisor: LaurentPoly) -> bool:
 
 
 @cache
-def cyclotomic(n: int) -> LaurentPoly:
+def cyclotomic(n: int) -> Poly:
     """The n-th cyclotomic polynomial: t^n - 1 divided by the product of
     the lower cyclotomic factors."""
     if n < 1:
@@ -116,7 +116,7 @@ def cyclotomic(n: int) -> LaurentPoly:
     numerator = -one_minus_t_power(n)  # t^n - 1
     if n == 1:
         return numerator
-    lower = LaurentPoly.one()
+    lower = Poly.one()
     for d in range(1, n):
         if n % d == 0:
             lower = lower * cyclotomic(d)
@@ -126,7 +126,7 @@ def cyclotomic(n: int) -> LaurentPoly:
 # -- the splice formulas, expanded -------------------------------------------------
 
 
-def torus_knot_delta(p: int, q: int) -> LaurentPoly:
+def torus_knot_delta(p: int, q: int) -> Poly:
     """(t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), which is 1 when either
     multiplicity is 1."""
     if p < 1 or q < 1:
@@ -134,13 +134,13 @@ def torus_knot_delta(p: int, q: int) -> LaurentPoly:
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"({p},{q}) is a torus link, not a knot")
     if p == 1 or q == 1:
-        return LaurentPoly.one()
+        return Poly.one()
     numerator = one_minus_t_power(p * q) * one_minus_t_power(1)
     denominator = one_minus_t_power(p) * one_minus_t_power(q)
     return div_exact(numerator, denominator).normalize_units()
 
 
-def reference_delta(link) -> LaurentPoly:
+def reference_delta(link) -> Poly:
     """Unit-normalized Alexander polynomial, expanded factor by factor."""
     link = normalize(link)
     if isinstance(link, HopfSum):
@@ -150,7 +150,7 @@ def reference_delta(link) -> LaurentPoly:
         if w == 0:
             if k == 2:
                 return one_minus_t_power(1).scale(p * q).normalize_units()
-            return LaurentPoly.zero()
+            return Poly.zero()
         base = (
             one_minus_t_power(1)
             * geometric_sum(w, p * q)
@@ -210,12 +210,12 @@ def reference_genus(link) -> int:
     return spread // 2
 
 
-def fold(poly: LaurentPoly, n: int) -> LaurentPoly:
+def fold(poly: Poly, n: int) -> Poly:
     """The remainder of poly modulo t^n - 1, which Phi_n divides."""
-    return LaurentPoly.from_terms((e % n, c) for e, c in poly.terms)
+    return Poly.from_terms((e % n, c) for e, c in poly.terms)
 
 
-def reference_cyclotomic_divides(n: int, poly: LaurentPoly) -> bool:
+def reference_cyclotomic_divides(n: int, poly: Poly) -> bool:
     """Whether Phi_n divides the expanded polynomial (true for zero).
     Divides the remainder modulo t^n - 1, which keeps the long division
     short."""

@@ -2,25 +2,29 @@
 entry that names nothing, no private function that nothing calls, no
 public name with a private twin, no `assert`, no `dataclasses`, no
 unbounded memo, and no code outside `link_model.normalize` that sets the
-canonical flag.
+canonical flag.  The oracles and the expanded reference in `tests/` take
+no arithmetic from the package they check.
 
 The checks read the sources with the standard `ast` module, so they see
 names, not behaviour: a name counts as used when it appears anywhere in
 the module as an identifier or an attribute.
 `from __future__` imports and the re-exports of `__init__` are exempt.
 One more test imports the CLI in a fresh interpreter and checks which
-modules that loads.
+modules that loads, and one runs every `>>>` example in the package.
 """
 
 from __future__ import annotations
 
 import ast
+import doctest
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "seifertlinks"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "seifertlinks"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -282,3 +286,63 @@ def test_only_normalize_sets_the_canonical_flag():
         if (path.name, line) not in allowed
     ]
     assert not stray, "canonical flag set outside normalize: " + ", ".join(stray)
+
+
+def _package_imports(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(module, bound name, line) of every import from the package."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [
+                (item.name, item.asname or item.name, node.lineno)
+                for item in node.names
+                if item.name.split(".")[0] == "seifertlinks"
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "seifertlinks":
+                found += [(node.module, item.name, node.lineno) for item in node.names]
+    return found
+
+
+def test_oracles_import_nothing_from_the_package():
+    # Agreement with an oracle means something only when the oracle
+    # computes without the code it checks.
+    found = [
+        f"{name}:{line} {module}"
+        for name in ("oracles.py", "reference_laurent.py")
+        for module, _, line in _package_imports(_tree(TESTS / name))
+    ]
+    assert not found, "package imports in oracles: " + ", ".join(found)
+
+
+def test_delta_reference_shares_no_arithmetic_with_the_package():
+    # The expanded reference may take the link records and `normalize`
+    # from the package, but never its polynomial type or the module that
+    # computes Delta.
+    tree = _tree(TESTS / "reference_alexander.py")
+    banned_modules = {"seifertlinks.alexander", "seifertlinks.laurent"}
+    banned_names = {"LaurentPoly", "alexander", "laurent"}
+    found = [
+        f"{line} {module}.{name}"
+        for module, name, line in _package_imports(tree)
+        if module in banned_modules or name in banned_names
+    ]
+    found += [
+        f"{node.lineno} .LaurentPoly"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "LaurentPoly"
+    ]
+    assert not found, "package Delta in the reference: " + ", ".join(found)
+
+
+def test_every_package_example_runs():
+    attempted = failed = 0
+    for path in SOURCES:
+        if path.name == "__main__.py":  # importing it runs the CLI
+            continue
+        name = "seifertlinks" if path.name == "__init__.py" else f"seifertlinks.{path.stem}"
+        result = doctest.testmod(importlib.import_module(name))
+        attempted += result.attempted
+        failed += result.failed
+    assert attempted > 0
+    assert failed == 0

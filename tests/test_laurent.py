@@ -1,6 +1,7 @@
-"""Exact Laurent polynomial arithmetic, checked against a naive
-dictionary model and by algebraic laws; the division helpers of the
-expanded reference are checked here too."""
+"""The Laurent polynomial ring of the expanded reference, checked against
+a naive dictionary model and by algebraic laws, with the division helpers
+of `reference_alexander`; and the package's `LaurentPoly`, the rendered
+value `delta` returns."""
 
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from reference_alexander import (
     one_minus_t_power,
     power,
 )
-from seifertlinks import LaurentPoly
+from reference_laurent import Poly
+from seifertlinks import LaurentPoly, ZeroPolynomial
 
 
 def naive_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -29,12 +31,12 @@ def naive_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return {e: c for e, c in out.items() if c != 0}
 
 
-def as_dict(poly: LaurentPoly) -> dict[int, int]:
+def as_dict(poly: Poly) -> dict[int, int]:
     return dict(poly.terms)
 
 
 polys = st.builds(
-    LaurentPoly.from_terms,
+    Poly.from_terms,
     st.lists(
         st.tuples(
             st.integers(min_value=-6, max_value=12),
@@ -63,12 +65,12 @@ def test_mul_commutes(a, b):
 @given(polys)
 def test_add_neg_cancels(a):
     assert (a + (-a)).is_zero
-    assert a - a == LaurentPoly.zero()
+    assert a - a == Poly.zero()
 
 
 @given(polys, st.integers(min_value=0, max_value=4))
 def test_pow_is_repeated_mul(a, n):
-    expected = LaurentPoly.one()
+    expected = Poly.one()
     for _ in range(n):
         expected = expected * a
     assert power(a, n) == expected
@@ -76,7 +78,7 @@ def test_pow_is_repeated_mul(a, n):
 
 @given(polys, st.integers(min_value=-5, max_value=5))
 def test_shift_multiplies_by_monomial(a, j):
-    assert a.shift(j) == a * LaurentPoly.monomial(j)
+    assert a.shift(j) == a * Poly.monomial(j)
 
 
 @given(polys, st.integers(min_value=1, max_value=4))
@@ -94,9 +96,9 @@ def test_div_exact_inverts_mul(a, b):
 
 
 def test_div_exact_rejects_non_factor():
-    t = LaurentPoly.monomial(1)
+    t = Poly.monomial(1)
     with pytest.raises(NotDivisible):
-        div_exact(t * t + LaurentPoly.one(), t + LaurentPoly.one())
+        div_exact(t * t + Poly.one(), t + Poly.one())
 
 
 def test_divisible_by_reports_without_raising():
@@ -126,8 +128,8 @@ def test_normalize_units_forgets_units(a, j, sign):
 def test_eval_at_minus_one_on_alternating_products():
     # (t - 1)(1 + t^3 + t^6) has |value| 2 at t = -1; evaluation happens
     # on the unit-normalized form, whose constant term is positive.
-    poly = (LaurentPoly.monomial(1) - LaurentPoly.one()) * (
-        LaurentPoly.from_terms([(0, 1), (3, 1), (6, 1)])
+    poly = (Poly.monomial(1) - Poly.one()) * (
+        Poly.from_terms([(0, 1), (3, 1), (6, 1)])
     )
     assert poly.eval_at_minus_one() == 2
 
@@ -154,16 +156,16 @@ def test_geometric_sum_telescopes(step, count):
 
 
 def test_cyclotomic_base_case():
-    assert cyclotomic(1) == LaurentPoly.from_terms([(0, -1), (1, 1)])
+    assert cyclotomic(1) == Poly.from_terms([(0, -1), (1, 1)])
 
 
 @pytest.mark.parametrize("n", range(1, 61))
 def test_cyclotomic_product_over_divisors(n):
-    product = LaurentPoly.one()
+    product = Poly.one()
     for d in range(1, n + 1):
         if n % d == 0:
             product = product * cyclotomic(d)
-    assert product == LaurentPoly.monomial(n) - LaurentPoly.one()
+    assert product == Poly.monomial(n) - Poly.one()
 
 
 def test_cyclotomic_known_small_values():
@@ -174,16 +176,40 @@ def test_cyclotomic_known_small_values():
 
 
 def test_to_text_readable_forms():
-    assert LaurentPoly.zero().to_text() == "0"
-    assert LaurentPoly.one().to_text() == "1"
-    poly = LaurentPoly.from_terms([(0, 1), (3, -1), (7, 2)])
+    assert LaurentPoly(()).to_text() == "0"
+    assert LaurentPoly(((0, 1),)).to_text() == "1"
+    poly = LaurentPoly(((0, 1), (3, -1), (7, 2)))
     assert poly.to_text() == "1 - t^3 + 2t^7"
-    assert LaurentPoly.from_terms([(1, -1)]).to_text() == "-t"
+    assert LaurentPoly(((1, -1),)).to_text() == "-t"
 
 
 def test_breadth_and_extremes():
-    poly = LaurentPoly.from_terms([(-2, 3), (5, -1)])
+    poly = Poly.from_terms([(-2, 3), (5, -1)])
     assert poly.min_exp == -2
     assert poly.max_exp == 5
     assert poly.breadth == 7
     assert list(poly) == [(-2, 3), (5, -1)]
+
+
+def test_rendered_value_breadth_and_zero():
+    poly = LaurentPoly(((-2, 3), (5, -1)))
+    assert poly.breadth == 7
+    assert not poly.is_zero
+    assert str(poly) == "3t^-2 - t^5"
+    assert LaurentPoly(()).is_zero
+    with pytest.raises(ZeroPolynomial):
+        LaurentPoly(()).breadth
+
+
+def test_ring_examples():
+    one_minus_t = Poly.from_terms([(0, 1), (1, -1)])
+    assert (one_minus_t * one_minus_t).terms == ((0, 1), (1, -2), (2, 1))
+    assert Poly.from_terms([(2, 1), (0, 3), (2, -1)]).terms == ((0, 3),)
+    assert Poly.monomial(3, -2).terms == ((3, -2),)
+    assert Poly.from_terms([(0, 1), (1, 1)]).shift(-1).terms == ((-1, 1), (0, 1))
+    assert Poly.from_terms([(2, -1), (3, 1)]).normalize_units().terms == (
+        (0, 1),
+        (1, -1),
+    )
+    assert Poly.monomial(-1, -3).normalize_units().terms == ((0, 3),)
+    assert Poly.from_terms([(0, 1), (1, -1), (2, 1)]).eval_at_minus_one() == 3
