@@ -7,15 +7,37 @@ to units its one-variable Alexander polynomial is
 
 over two short lists of positive exponents (None stands for the zero
 polynomial).  Breadth, genus, determinant and cyclotomic divisibility
-are read off the exponents directly.  Only `delta` expands the product,
-term by term in a dictionary of coefficients, and wraps the sorted terms
-in the one `LaurentPoly` it returns; its cost follows the number of
-terms, not the breadth.  No polynomial arithmetic is done elsewhere.
+are read off the exponents directly.  No polynomial arithmetic is done
+elsewhere than in `delta`, which expands the product and wraps the
+sorted terms in the one `LaurentPoly` it returns.
+
+The first numerator exponent is always 1, so Delta = c (1 - t) F(t^g),
+where g is the gcd of the other exponents, and `delta` takes one of two
+paths, each taking time and memory in proportion to the answer:
+
+- g >= 2 (ZeroCore links with w >= 2, and one- and two-core links
+  whose winding in `_factored` is at least 2): F is expanded in a
+  dense list of integer coefficients over its own breadth.  Each
+  nonzero coefficient gives two terms of Delta, at g e and g e + 1, so
+  they come out sorted and never collide, and the list is no longer
+  than the answer as long as at least half its slots are nonzero.  For
+  every canonical link with p, q <= 11 and k <= 9, at least 0.55 of
+  the slots of F are nonzero; for ZeroCore links with k = 2, where F is a product of two
+  geometric sums with p q distinct exponents over 2 p q - p - q + 1
+  slots, the share tends to one half from above.
+- otherwise (g = 1, as for torus knots and Hopf sums, or no exponent
+  after the leading 1, as for the ZeroCore links with w = 0): the
+  answer can be far sparser than its breadth (T(1500,1501) has 2,999
+  terms over a breadth of about 2.25 million), so the product is
+  expanded term by term in a dictionary and each denominator is divided
+  out along runs of equal running sums, visiting only the terms.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import accumulate, count, repeat
+from math import gcd
+from operator import sub
 from typing import Optional
 
 from .errors import InvalidParameters, InvariantViolation
@@ -98,20 +120,69 @@ def _divide_by_one_minus_power(
     return quotient
 
 
+def _strided_coefficients(factored: _Factored, g: int) -> list[int]:
+    """Coefficients of c * F(u), from u^0 up with none left out, where
+    Delta = c (1 - t) F(t^g) and g divides every exponent but the first.
+
+    Multiplying by 1 - u^m subtracts the list, shifted up by m, from
+    itself.  Dividing by 1 - u^d replaces each residue class mod d by its
+    running sums; the quotient is exact only when the top d entries are
+    then zero.  Each numerator factor is followed by the first pending
+    divisor that divides it, which makes that quotient exact and keeps
+    the list short; a divisor left over is taken out at the end."""
+    content, numerator, denominator = factored
+    coefficients = [content]
+
+    def divide(d: int) -> None:
+        for residue in range(d):
+            coefficients[residue::d] = accumulate(coefficients[residue::d])
+        if any(coefficients[-d:]):
+            raise InvariantViolation(f"1 - t^{g * d} leaves a remainder in {factored}")
+        del coefficients[-d:]
+
+    pending = [d // g for d in denominator]
+    for m in numerator[1:]:
+        m //= g
+        coefficients += repeat(0, m)
+        coefficients[m:] = map(sub, coefficients[m:], coefficients)
+        d = next((d for d in pending if m % d == 0), 0)
+        if d:
+            pending.remove(d)
+            divide(d)
+    for d in pending:
+        divide(d)
+    return coefficients
+
+
 def delta(link: SeifertLink) -> LaurentPoly:
     """One-variable Alexander polynomial, unit-normalized (lowest exponent
     0, positive constant term).
 
-    The factored form is expanded term by term: the content is multiplied
-    by each numerator binomial in place, then each denominator binomial
-    is divided out, so the cost follows the number of terms rather than
-    the breadth, and one `LaurentPoly` is built at the end.  The zero
-    polynomial occurs exactly for ZeroCore links with w = 0 and k != 2.
+    With Delta = c (1 - t) F(t^g) as in the module docstring: when
+    g >= 2, F is expanded densely by `_strided_coefficients` and each
+    nonzero coefficient a of u^e gives the terms a t^(g e) and
+    -a t^(g e + 1), already in order.  Otherwise the content is
+    multiplied by each numerator binomial in place, term by term, and
+    each denominator binomial is divided out along runs, so the cost
+    follows the number of terms rather than the breadth.  Either way one
+    `LaurentPoly` is built at the end.  The zero polynomial occurs
+    exactly for ZeroCore links with w = 0 and k != 2.
     """
     factored = _factored(normalize(link))
     if factored is None:
         return LaurentPoly(())
     content, numerator, denominator = factored
+    g = gcd(*numerator[1:], *denominator)
+    if g >= 2:
+        even = [
+            (exp, coef)
+            for exp, coef in zip(count(0, g), _strided_coefficients(factored, g))
+            if coef
+        ]
+        terms = [None] * (2 * len(even))
+        terms[::2] = even
+        terms[1::2] = [(exp + 1, -coef) for exp, coef in even]
+        return LaurentPoly(tuple(terms))
     coefficients = {0: content}
     for m in numerator:
         # Highest exponent first: each coefficient is read before the

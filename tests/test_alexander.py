@@ -5,6 +5,8 @@ splice formulas of `reference_alexander`."""
 from __future__ import annotations
 
 import time
+import tracemalloc
+from math import gcd
 
 import pytest
 
@@ -35,7 +37,11 @@ from seifertlinks import (
     genus,
 )
 from seifertlinks import alexander
-from seifertlinks.alexander import _divide_by_one_minus_power
+from seifertlinks.alexander import (
+    _divide_by_one_minus_power,
+    _factored,
+    _strided_coefficients,
+)
 
 
 # -- frozen closed forms ---------------------------------------------------------
@@ -181,6 +187,54 @@ def test_inexact_division_is_an_invariant_violation():
     with pytest.raises(InvariantViolation):
         _divide_by_one_minus_power(one_minus_t, 2)
     assert _divide_by_one_minus_power(one_minus_t, 1) == [(0, 1)]
+
+
+def test_inexact_strided_division_is_an_invariant_violation():
+    # With g = 2, F(u) = (1 - u) / (1 - u^2) would be a power series.
+    with pytest.raises(InvariantViolation):
+        _strided_coefficients((1, (1, 2), (4,)), 2)
+    assert _strided_coefficients((1, (1, 4), (2,)), 2) == [1, 1]
+    # 1 - u^2 takes the factor 1 - u^6, so 1 - u^3 is taken out last:
+    # (1 - u^6)(1 - u) / ((1 - u^2)(1 - u^3)) = 1 - u + u^2.
+    assert _strided_coefficients((1, (1, 12, 2), (4, 6)), 2) == [1, -1, 1]
+
+
+def test_dense_expansion_is_no_longer_than_the_answer(grid):
+    # When g >= 2, delta expands F over breadth // g + 1 slots, and each
+    # nonzero slot gives two terms.
+    for link in grid:
+        factored = _factored(link)
+        if factored is None:
+            continue
+        _, numerator, denominator = factored
+        g = gcd(*numerator[1:], *denominator)
+        if g >= 2:
+            poly = delta(link)
+            assert len(poly.terms) >= poly.breadth // g + 1, link
+
+
+def test_sparse_expansion_memory_follows_the_terms():
+    # T(1500,1501) has 2,999 terms over a breadth of 2,248,500: a dense
+    # list over its breadth would need more than 18 MB.
+    tracemalloc.start()
+    try:
+        poly = delta(ZeroCore(1500, 1501, 1, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(poly.terms) == 2999
+    assert peak < 4_000_000
+
+
+def test_delta_matches_reference_on_large_links():
+    links = [ZeroCore(40, 43, k, k) for k in (1, 2, 3)] + [
+        OneCore(13, 7, 9, 3, 1),
+        OneCore(11, 5, 7, 5, -1),
+        TwoCore(7, 9, 9, 1, 1, -1),
+        TwoCore(5, 8, 6, 2, -1, -1),
+    ]
+    for link in links:
+        assert delta(link).terms == reference_delta(link).terms, link
 
 
 def test_delta_builds_one_laurent_poly_per_call(grid, monkeypatch):
