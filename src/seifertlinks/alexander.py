@@ -15,16 +15,17 @@ The first numerator exponent is always 1, so Delta = c (1 - t) F(t^g),
 where g is the gcd of the other exponents, and `delta` takes one of two
 paths, each taking time and memory in proportion to the answer:
 
-- g >= 2 (ZeroCore links with w >= 2, and one- and two-core links
-  whose winding in `_factored` is at least 2): F is expanded in a
-  dense list of integer coefficients over its own breadth.  Each
+- g >= 2, where g is |s| of `_factored` divided by the multiplicities
+  of the exceptional positions not in the link (w for ZeroCore links,
+  w q + sign for one-core links, |s| for two-core links): F is expanded
+  in a dense list of integer coefficients over its own breadth.  Each
   nonzero coefficient gives two terms of Delta, at g e and g e + 1, so
   they come out sorted and never collide, and the list is no longer
   than the answer as long as at least half its slots are nonzero.  For
   every canonical link with p, q <= 11 and k <= 9, at least 0.55 of
-  the slots of F are nonzero; for ZeroCore links with k = 2, where F is a product of two
-  geometric sums with p q distinct exponents over 2 p q - p - q + 1
-  slots, the share tends to one half from above.
+  the slots of F are nonzero; for ZeroCore links with k = 2, where F is
+  a product of two geometric sums with p q distinct exponents over
+  2 p q - p - q + 1 slots, the share tends to one half from above.
 - otherwise (g = 1, as for torus knots and Hopf sums, or no exponent
   after the leading 1, as for the ZeroCore links with w = 0): the
   answer can be far sparser than its breadth (T(1500,1501) has 2,999
@@ -42,14 +43,7 @@ from typing import Optional
 
 from .errors import InvalidParameters, InvariantViolation
 from .laurent import LaurentPoly
-from .link_model import (
-    HopfSum,
-    OneCore,
-    SeifertLink,
-    ZeroCore,
-    components,
-    normalize,
-)
+from .link_model import HopfSum, SeifertLink, components, normalize
 
 __all__ = [
     "delta",
@@ -64,20 +58,20 @@ _Factored = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 def _factored(link: SeifertLink) -> Optional[_Factored]:
     """(content, numerator exponents, denominator exponents) of Delta for
-    a canonical link, or None when Delta vanishes identically."""
+    a canonical link, or None when Delta vanishes identically.
+
+    Off the Hopf sums this is the splice formula of Eisenbud and Neumann
+    over the view (p, q, k, w, e1, e2) of `link_model`: with the total
+    winding s = w p q + e1 p + e2 q, Delta = (1 - t)(1 - t^|s|)^k /
+    prod(1 - t^(|s|/a)) over the positions of multiplicity a not in the
+    link.  s = 0 only for coreless links with w = 0: k = 2 gives p q."""
     if isinstance(link, HopfSum):
         return 1, (1,) * (link.plus + link.minus), ()
-    if isinstance(link, ZeroCore):
-        p, q, k, w = link.p, link.q, link.k, link.w
-        if w == 0:
-            return (p * q, (1,), ()) if k == 2 else None
-        return 1, (1,) + (w * p * q,) * k, (w * p, w * q)
-    if isinstance(link, OneCore):
-        winding = link.w * link.q + link.sign
-        return 1, (1,) + (winding * link.p,) * link.k, (winding,)
-    # Never 0: both multiplicities of a two-core link are coprime and >= 2.
-    winding = abs(link.w * link.p * link.q + link.sign1 * link.p + link.sign2 * link.q)
-    return 1, (1,) + (winding,) * link.k, ()
+    p, q, k, w, e1, e2 = link._view
+    s = abs(w * p * q + e1 * p + e2 * q)
+    if s == 0:
+        return (p * q, (1,), ()) if k == 2 else None
+    return 1, (1,) + (s,) * k, (() if e1 else (s // q,)) + (() if e2 else (s // p,))
 
 
 def _cyclotomic_count(n: int, factored: _Factored) -> int:

@@ -12,14 +12,7 @@ from typing import Optional, Union
 from ._record import Record
 from .alexander import genus
 from .errors import InvalidParameters, NotPrime
-from .link_model import (
-    HopfSum,
-    OneCore,
-    SeifertLink,
-    TwoCore,
-    ZeroCore,
-    normalize,
-)
+from .link_model import HopfSum, OneCore, SeifertLink, ZeroCore, normalize
 
 __all__ = [
     "DynkinType",
@@ -96,39 +89,39 @@ def ade_link(dynkin: DynkinType) -> SeifertLink:
     }[m]
 
 
+# The ADE links whose view fits no family of `is_ade`.
+_EXCEPTIONAL_ADE = {
+    (1, 1, 3, 3, 0, 0): DynkinType("D", 4),
+    (3, 4, 1, 1, 0, 0): DynkinType("E", 6),
+    (3, 2, 1, 1, 1, 0): DynkinType("E", 7),
+    (3, 5, 1, 1, 0, 0): DynkinType("E", 8),
+}
+
+
 def is_ade(link: SeifertLink) -> Optional[DynkinType]:
-    """The Dynkin type of `link` if it is one of the ADE links, else None."""
-    link = normalize(link)
-    if isinstance(link, HopfSum):
-        return DynkinType("A", 1) if (link.plus, link.minus) == (1, 0) else None
-    if isinstance(link, ZeroCore):
-        shape = (link.p, link.k, link.w)
-        if shape == (2, 1, 1):
-            return DynkinType("A", link.q - 1)
-        if shape == (1, 2, 2):
-            return DynkinType("A", 2 * link.q - 1)
-        if (link.p, link.q, link.k, link.w) == (1, 1, 3, 3):
-            return DynkinType("D", 4)
-        if (link.p, link.q, link.k, link.w) == (3, 4, 1, 1):
-            return DynkinType("E", 6)
-        if (link.p, link.q, link.k, link.w) == (3, 5, 1, 1):
-            return DynkinType("E", 8)
+    """The Dynkin type of `link` if it is one of the ADE links, else None.
+
+    Over the view (p, q, k, w, e1, e2) of `link_model`, every ADE link is
+    positive with at most the core at q: one fibre with p = 2, or two
+    with p = 1, give A without that core and D with it; four more are
+    exceptional."""
+    view = normalize(link)._view
+    if view is None:
         return None
-    if isinstance(link, OneCore) and link.sign == 1:
-        shape = (link.p, link.k, link.w)
-        if shape == (2, 1, 1):
-            return DynkinType("D", link.q + 2)
-        if shape == (1, 2, 2):
-            return DynkinType("D", 2 * link.q + 2)
-        if (link.p, link.q, link.k, link.w) == (3, 2, 1, 1):
-            return DynkinType("E", 7)
-    return None
+    p, q, k, w, e1, e2 = view
+    if w != k or e1 < 0 or e2:
+        return None
+    if (p, k) == (2, 1):
+        return DynkinType("D", q + 2) if e1 else DynkinType("A", q - 1)
+    if (p, k) == (1, 2):
+        return DynkinType("D", 2 * q + 2) if e1 else DynkinType("A", 2 * q - 1)
+    return _EXCEPTIONAL_ADE.get(view)
 
 
 def is_prime(link: SeifertLink) -> bool:
-    """False exactly for connected sums of two or more Hopf links."""
-    link = normalize(link)
-    return not (isinstance(link, HopfSum) and link.plus + link.minus >= 2)
+    """False exactly for connected sums of two or more Hopf links, the
+    links without a Seifert view."""
+    return normalize(link)._view is not None
 
 
 def is_fibred(link: SeifertLink) -> bool:
@@ -143,11 +136,8 @@ def in_P(link: SeifertLink) -> bool:
     link = normalize(link)
     if isinstance(link, HopfSum):
         return link.minus == 0
-    if isinstance(link, ZeroCore):
-        return link.w == link.k
-    if isinstance(link, OneCore):
-        return link.w == link.k and link.sign == 1
-    return link.w == link.k and link.sign1 == 1 and link.sign2 == 1
+    _, _, k, w, e1, e2 = link._view
+    return w == k and e1 >= 0 and e2 >= 0
 
 
 # Closure of a positive braid word: for this family that is exactly
@@ -185,15 +175,13 @@ def is_definite(link: SeifertLink) -> bool:
     link = normalize(link)
     if isinstance(link, HopfSum):
         return link.minus == 0
-    if is_ade(link) is not None:
-        return True
-    if isinstance(link, ZeroCore) and link.k == 2 and link.w == 0:
-        return True
-    if isinstance(link, TwoCore):
-        return (link.p, link.q, link.k, link.w, link.sign1, link.sign2) == (
-            2, 3, 1, 1, -1, -1,
-        )
-    return False
+    _, _, k, w, e1, _ = view = link._view
+    # The ADE links, the balanced two-copy coreless links and L(2,3;1,1;-,-).
+    return (
+        is_ade(link) is not None
+        or (k, w, e1) == (2, 0, 0)
+        or view == (2, 3, 1, 1, -1, -1)
+    )
 
 
 def is_ade_up_to_orientation(link: SeifertLink) -> bool:
@@ -204,16 +192,16 @@ def is_ade_up_to_orientation(link: SeifertLink) -> bool:
     checks that equivalence against the orbifold module.  Decided in
     integers: the double-cover base has cone orders 2 (k times), a and b,
     and its Euler characteristic 1/a + 1/b - k/2 is positive exactly when
-    k*a*b < 2(a + b).
+    k*a*b < 2(a + b).  Over the view of `link_model`, a and b are the
+    multiplicities q and p, doubled where the core is part of the link.
     """
     link = normalize(link)
     if not is_prime(link):
         raise NotPrime("ADE membership up to orientation needs a prime link")
-    if isinstance(link, HopfSum):
-        return True
-    a = link.q if isinstance(link, ZeroCore) else 2 * link.q
-    b = 2 * link.p if isinstance(link, TwoCore) else link.p
-    return link.k * a * b < 2 * (a + b)
+    p, q, k, _, e1, e2 = link._view
+    a = 2 * q if e1 else q
+    b = 2 * p if e2 else p
+    return k * a * b < 2 * (a + b)
 
 
 class ClassificationReport(Record):

@@ -36,8 +36,8 @@ from .link_model import (
     HopfSum,
     OneCore,
     SeifertLink,
-    TwoCore,
     ZeroCore,
+    _of_shape,
     components,
     normalize,
 )
@@ -133,15 +133,13 @@ def canonical_weights(link: SeifertLink, n: int) -> CoverSpec:
 def _canonical_weight_tuple(link: SeifertLink, n: int) -> tuple[int, ...]:
     """The weights of `canonical_weights` as a bare tuple, for the callers
     that need no `CoverSpec`."""
-    positives = (link.k + link.w) // 2
-    weights = (1,) * positives + (n - 1,) * (link.k - positives)
-    if isinstance(link, OneCore):
-        return weights + (1 if link.sign > 0 else n - 1,)
-    if isinstance(link, TwoCore):
-        return weights + (
-            1 if link.sign1 > 0 else n - 1,
-            1 if link.sign2 > 0 else n - 1,
-        )
+    _, _, k, w, e1, e2 = link._view
+    positives = (k + w) // 2
+    weights = (1,) * positives + (n - 1,) * (k - positives)
+    if e1:
+        weights += (1 if e1 > 0 else n - 1,)
+    if e2:
+        weights += (1 if e2 > 0 else n - 1,)
     return weights
 
 
@@ -179,43 +177,35 @@ def _sigma_sums(
 ) -> tuple[int, int, int]:
     """(r, sigma*npq of the cover, sigma*npq of its reflection), in
     integers straight from the weights: every angle's denominator divides
-    n*p*q, and reflecting sends each weight a to n - a."""
-    k, p, q = link.k, link.p, link.q
-    copies = sum(weights)  # less the core weights below
-    # `tail` and `reflected_tail` sum the angles after the k copies.
-    if isinstance(link, ZeroCore):
-        # Unbranched fibres, 1/q and 1/p, are the same on both sides.
-        tail = reflected_tail = (n * p if q > 1 else 0) + (n * q if p > 1 else 0)
-        r = k + (q > 1) + (p > 1)
-    elif isinstance(link, OneCore):
-        c = weights[k]
-        copies -= c
-        fibre = n * q if p > 1 else 0
-        tail = c * p + fibre
-        reflected_tail = (n - c) * p + fibre
-        r = k + 1 + (p > 1)
-    else:
-        c1, c2 = weights[k], weights[k + 1]
-        copies -= c1 + c2
-        tail = c1 * p + c2 * q
-        reflected_tail = (n - c1) * p + (n - c2) * q
-        r = k + 2
+    n*p*q, and reflecting sends each weight a to n - a.
+
+    Per exceptional position of multiplicity a, in units of npq/(na):
+    a core of weight c adds c, and n - c on the reflected side; an
+    unbranched fibre adds n to both sides when a > 1, nothing when a = 1."""
+    p, q, k, _, e1, e2 = link._view
+    c1, d1 = (weights[k], n - weights[k]) if e1 else (n, n) if q > 1 else (0, 0)
+    c2, d2 = (weights[-1], n - weights[-1]) if e2 else (n, n) if p > 1 else (0, 0)
+    copies = sum(weights[:k])
     pq = p * q
-    return r, pq * copies + tail, pq * (k * n - copies) + reflected_tail
+    return (
+        k + (c1 > 0) + (c2 > 0),
+        pq * copies + c1 * p + c2 * q,
+        pq * (k * n - copies) + d1 * p + d2 * q,
+    )
 
 
 def _angles(link: SeifertLink, n: int, weights: tuple[int, ...]) -> list:
     """(numerator, denominator) of each angle of the weighted cover."""
-    angles = [(weights[i], n) for i in range(link.k)]
-    if isinstance(link, ZeroCore):
-        angles += [(1, m) for m in (link.q, link.p) if m > 1]
-    elif isinstance(link, OneCore):
-        angles.append((weights[link.k], n * link.q))
-        if link.p > 1:
-            angles.append((1, link.p))
-    else:
-        angles.append((weights[link.k], n * link.q))
-        angles.append((weights[link.k + 1], n * link.p))
+    p, q, k, _, e1, e2 = link._view
+    angles = [(a, n) for a in weights[:k]]
+    if e1:
+        angles.append((weights[k], n * q))
+    elif q > 1:
+        angles.append((1, q))
+    if e2:
+        angles.append((weights[-1], n * p))
+    elif p > 1:
+        angles.append((1, p))
     return angles
 
 
@@ -416,16 +406,14 @@ def _link_of_weights(link: SeifertLink, spec: CoverSpec) -> SeifertLink:
     positive orientation of the component, weight n-1 reverses it.  (At
     n = 2 both coincide and the cover is orientation-independent.)
     """
-    balance = sum(1 if a == 1 else -1 for a in spec.weights[: link.k])
-    if isinstance(link, ZeroCore):
-        fresh = ZeroCore(link.p, link.q, link.k, balance)
-    elif isinstance(link, OneCore):
-        sign = 1 if spec.weights[link.k] == 1 else -1
-        fresh = OneCore(link.p, link.q, link.k, balance, sign)
-    else:
-        sign1 = 1 if spec.weights[link.k] == 1 else -1
-        sign2 = 1 if spec.weights[link.k + 1] == 1 else -1
-        fresh = TwoCore(link.p, link.q, link.k, balance, sign1, sign2)
+    p, q, k, _, e1, e2 = link._view
+    weights = spec.weights
+    balance = 2 * weights[:k].count(1) - k
+    fresh = _of_shape(
+        p, q, k, balance,
+        (1 if weights[k] == 1 else -1) if e1 else 0,
+        (1 if weights[-1] == 1 else -1) if e2 else 0,
+    )
     # The canonical cover of the canonical link itself needs no rewriting.
     return link if fresh == link else normalize(fresh)
 

@@ -21,6 +21,13 @@ it, and a flagged link passes through it again in O(1).  Every public
 function of the package starts with `link = normalize(link)`, so a link
 is validated and rewritten once, where it enters, and the inner calls on
 it cost one flag test each.
+
+Every prime link of the class is k regular fibres and two exceptional
+positions, of multiplicities q and p, each either a core of the link or
+not.  `normalize` stores this view on the link it returns as the tuple
+(p, q, k, w, e1, e2) of `_shape`: e1 and e2 are the core signs at q and
+p, 0 where the core is not a component, and the prime Hopf link is
+(1, 1, 2, 2, 0, 0).  The other modules read their formulas off it.
 """
 
 from __future__ import annotations
@@ -56,11 +63,19 @@ __all__ = [
 
 
 class HopfSum(Record):
-    """Connected sum of `plus` positive and `minus` negative Hopf links."""
+    """Connected sum of `plus` positive and `minus` negative Hopf links.
+
+    The normal form identifies each Hopf sum with its mirror image: it
+    swaps `plus` and `minus` so that plus >= minus, and it maps every
+    two-component unit-multiplicity presentation to HopfSum(1, 0),
+    whatever its linking number."""
 
     plus: int
     minus: int
-    _canonical = False  # set only by `normalize`; not a field
+    # Set only by `normalize`, not fields: the flag, and the view of
+    # `_shape` (None for a composite Hopf sum).
+    _canonical = False
+    _view = None
 
 
 class ZeroCore(Record):
@@ -71,6 +86,7 @@ class ZeroCore(Record):
     k: int
     w: int
     _canonical = False
+    _view = None
 
 
 class OneCore(Record):
@@ -82,6 +98,7 @@ class OneCore(Record):
     w: int
     sign: int
     _canonical = False
+    _view = None
 
 
 class TwoCore(Record):
@@ -94,6 +111,7 @@ class TwoCore(Record):
     sign1: int
     sign2: int
     _canonical = False
+    _view = None
 
 
 SeifertLink = Union[HopfSum, ZeroCore, OneCore, TwoCore]
@@ -103,13 +121,35 @@ _SIGNS = (1, -1)
 
 def components(link: SeifertLink) -> int:
     """Number of components of the underlying link."""
+    link = normalize(link)
     if isinstance(link, HopfSum):
         return link.plus + link.minus + 1
+    _, _, k, _, e1, e2 = link._view
+    return k + abs(e1) + abs(e2)
+
+
+# -- the Seifert view -----------------------------------------------------------
+
+
+def _shape(link: SeifertLink) -> Optional[tuple[int, int, int, int, int, int]]:
+    """(p, q, k, w, e1, e2) of a canonical link, as in the module
+    docstring; None for a composite Hopf sum."""
+    if isinstance(link, HopfSum):
+        return (1, 1, 2, 2, 0, 0) if link.plus + link.minus == 1 else None
     if isinstance(link, ZeroCore):
-        return link.k
+        return link.p, link.q, link.k, link.w, 0, 0
     if isinstance(link, OneCore):
-        return link.k + 1
-    return link.k + 2
+        return link.p, link.q, link.k, link.w, link.sign, 0
+    return link.p, link.q, link.k, link.w, link.sign1, link.sign2
+
+
+def _of_shape(p: int, q: int, k: int, w: int, e1: int, e2: int) -> SeifertLink:
+    """The core presentation with this view, not yet normalized."""
+    if e2:
+        return TwoCore(p, q, k, w, e1, e2)
+    if e1:
+        return OneCore(p, q, k, w, e1)
+    return ZeroCore(p, q, k, w)
 
 
 # -- validation --------------------------------------------------------------
@@ -257,7 +297,8 @@ def normalize(link: SeifertLink) -> SeifertLink:
 
     Raises NotCoprime, InvalidParameters, or UnknotInput when the
     parameters do not denote a link of the class.  Idempotent and total on
-    valid input.  It flags its result, and returns a flagged link at once.
+    valid input.  It flags its result and stores the result's view of
+    `_shape` beside the flag, and returns a flagged link at once.
     """
     if link._canonical:
         return link
@@ -272,6 +313,7 @@ def normalize(link: SeifertLink) -> SeifertLink:
                 current = result
                 changed = True
                 break
+    object.__setattr__(current, "_view", _shape(current))
     object.__setattr__(current, "_canonical", True)
     return current
 
@@ -438,11 +480,8 @@ def reorient_to_P(link: SeifertLink) -> SeifertLink:
     link = normalize(link)
     if isinstance(link, HopfSum):
         fresh = HopfSum(link.plus + link.minus, 0)
-    elif isinstance(link, ZeroCore):
-        fresh = ZeroCore(link.p, link.q, link.k, link.k)
-    elif isinstance(link, OneCore):
-        fresh = OneCore(link.p, link.q, link.k, link.k, 1)
     else:
-        fresh = TwoCore(link.p, link.q, link.k, link.k, 1, 1)
+        p, q, k, _, e1, e2 = link._view
+        fresh = _of_shape(p, q, k, k, abs(e1), abs(e2))
     # A canonical link that is already positive is its own reorientation.
     return link if fresh == link else normalize(fresh)

@@ -19,15 +19,7 @@ from typing import Iterable, Optional
 from ._record import Record
 from .classify import DynkinType, is_ade, is_prime
 from .errors import InvalidParameters, InvariantViolation, NotPrime
-from .link_model import (
-    HopfSum,
-    OneCore,
-    SeifertLink,
-    TwoCore,
-    ZeroCore,
-    normalize,
-    reorient_to_P,
-)
+from .link_model import SeifertLink, ZeroCore, normalize, reorient_to_P
 
 __all__ = [
     "ConeOrbifold",
@@ -112,24 +104,19 @@ def _require_prime(
 def b_bar(link: SeifertLink, n: int) -> ConeOrbifold:
     """Base orbifold of the n-fold cyclic branched cover.
 
-    The branch copies each contribute a cone of order n; the exceptional
-    fibres contribute their multiplicities, amplified by n when the
-    corresponding core is part of the link.  The two core orders are
-    placed among the k copies of n by comparison, and an order 1 is
-    dropped, so the orders come out sorted without a sort.
+    The branch copies each contribute a cone of order n; the two
+    exceptional positions of the link's view (see `link_model`)
+    contribute their multiplicities q and p, times n where the core is
+    part of the link.  Those two orders are placed among the k copies of
+    n by comparison, and an order 1 is dropped, so the orders come out
+    sorted without a sort.
     """
     _require_level(n)
-    link = _require_prime(normalize(link))
-    if isinstance(link, HopfSum):
-        return ConeOrbifold((n, n))
-    if isinstance(link, ZeroCore):
-        a, b = link.q, link.p
-    elif isinstance(link, OneCore):
-        a, b = n * link.q, link.p
-    else:
-        a, b = n * link.q, n * link.p
+    p, q, k, _, e1, e2 = _require_prime(normalize(link))._view
+    a = q * n if e1 else q
+    b = p * n if e2 else p
     low, high = (a, b) if a <= b else (b, a)
-    copies = (n,) * link.k
+    copies = (n,) * k
     if low >= n:
         return ConeOrbifold(copies + (low, high))
     if high > n:
@@ -143,9 +130,10 @@ def b_bar(link: SeifertLink, n: int) -> ConeOrbifold:
 class FibreCoverData(Record):
     """How the regular fibre behaves under the n-fold branched cover.
 
-    `s` is the total winding of the link against a regular fibre, `r` the
-    order of the fibre class in the covering group, and cover_degree =
-    n / r the number of fibre preimages.
+    `s` = w p q + e1 p + e2 q, over the view of `link_model`, is the
+    total winding of the link against a regular fibre, `r` the order of
+    the fibre class in the covering group, and cover_degree = n / r the
+    number of fibre preimages.
     """
 
     s: int
@@ -155,14 +143,8 @@ class FibreCoverData(Record):
 
 def fibre_data(link: SeifertLink, n: int) -> FibreCoverData:
     _require_level(n)
-    link = _require_prime(normalize(link))
-    # The prime Hopf link enters through its coreless presentation with
-    # p = q = 1 and two positively oriented copies.
-    s = 2 if isinstance(link, HopfSum) else link.w * link.p * link.q
-    if isinstance(link, OneCore):
-        s += link.sign * link.p
-    elif isinstance(link, TwoCore):
-        s += link.sign1 * link.p + link.sign2 * link.q
+    p, q, _, w, e1, e2 = _require_prime(normalize(link))._view
+    s = w * p * q + e1 * p + e2 * q
     r = n // math.gcd(n, s % n)
     return FibreCoverData(s=s, r=r, cover_degree=n // r)
 

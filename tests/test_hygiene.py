@@ -1,9 +1,10 @@
 """Static hygiene of the package sources: no unused imports, no `__all__`
 entry that names nothing, no private function that nothing calls, no
 public name with a private twin, no `assert`, no `dataclasses`, no
-unbounded memo, and no code outside `link_model.normalize` that sets the
-canonical flag.  The oracles and the expanded reference in `tests/` take
-no arithmetic from the package they check.
+unbounded memo, no code outside `link_model.normalize` that sets the
+canonical flag or the Seifert view, and no shape branch in the functions
+that read that view.  The oracles and the expanded reference in `tests/`
+take no arithmetic from the package they check.
 
 The checks read the sources with the standard `ast` module, so they see
 names, not behaviour: a name counts as used when it appears anywhere in
@@ -259,33 +260,71 @@ def test_cli_import_does_not_load_json():
     assert result.stdout.strip() == "[]", result.stdout
 
 
+# What `normalize` stores on the link it returns: the flag and the view.
+_STORED = ("_canonical", "_view")
+
+
 def _flag_writes(tree: ast.AST) -> list[int]:
-    """Lines that assign the flag as an attribute or name it as a string,
-    as `object.__setattr__` needs: a record's own `__setattr__` refuses."""
+    """Lines that assign the flag or the view as an attribute or name it
+    as a string, as `object.__setattr__` needs: a record's own
+    `__setattr__` refuses."""
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and node.value == "_canonical":
+        if isinstance(node, ast.Constant) and node.value in _STORED:
             lines.append(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr == "_canonical":
+        elif isinstance(node, ast.Attribute) and node.attr in _STORED:
             if not isinstance(node.ctx, ast.Load):
                 lines.append(node.lineno)
     return lines
 
 
 def test_only_normalize_sets_the_canonical_flag():
-    # A link flagged anywhere else would skip validation, valid or not.
+    # A link flagged anywhere else would skip validation, valid or not,
+    # and a view set anywhere else could disagree with the link.
     allowed = set()
     for node in ast.walk(_tree(PACKAGE / "link_model.py")):
         if isinstance(node, ast.FunctionDef) and node.name == "normalize":
             allowed = {("link_model.py", line) for line in _flag_writes(node)}
-    assert allowed, "normalize no longer sets the canonical flag"
+    assert len(allowed) == len(_STORED), "normalize no longer sets the flag and the view"
     stray = [
         f"{path.name}:{line}"
         for path in SOURCES
         for line in _flag_writes(_tree(path))
         if (path.name, line) not in allowed
     ]
-    assert not stray, "canonical flag set outside normalize: " + ", ".join(stray)
+    assert not stray, "flag or view set outside normalize: " + ", ".join(stray)
+
+
+# Functions that read the Seifert view of `link_model` instead of testing
+# the link's shape: (module, function).
+_VIEW_READERS = (
+    ("alexander.py", "_factored"),
+    ("orbifold.py", "b_bar"),
+    ("orbifold.py", "fibre_data"),
+    ("cover.py", "_sigma_sums"),
+    ("cover.py", "_angles"),
+    ("cover.py", "_canonical_weight_tuple"),
+    ("cover.py", "_link_of_weights"),
+    ("classify.py", "is_ade_up_to_orientation"),
+    ("classify.py", "in_P"),
+    ("link_model.py", "components"),
+    ("link_model.py", "reorient_to_P"),
+)
+
+
+def test_view_readers_name_no_core_shape():
+    # One formula over (p, q, k, w, e1, e2) each: none of these may
+    # branch on the three core shapes again.
+    shapes = {"ZeroCore", "OneCore", "TwoCore"}
+    found = {}
+    for module, function in _VIEW_READERS:
+        for node in ast.walk(_tree(PACKAGE / module)):
+            if isinstance(node, ast.FunctionDef) and node.name == function:
+                found[module, function] = sorted(
+                    {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & shapes
+                )
+    assert sorted(found) == sorted(_VIEW_READERS)
+    assert not any(found.values()), {key: names for key, names in found.items() if names}
 
 
 def _package_imports(tree: ast.Module) -> list[tuple[str, str, int]]:

@@ -30,7 +30,7 @@ from seifertlinks import (
 )
 from seifertlinks._record import replace
 from seifertlinks.cli import _encode
-from seifertlinks.link_model import _REWRITE_RULES
+from seifertlinks.link_model import _REWRITE_RULES, _of_shape, _shape
 
 from conftest import raw_links
 
@@ -257,10 +257,46 @@ def test_rewrite_order_does_not_matter(raw, rng):
     assert current == normalize(raw)
 
 
+def _presented_components(link):
+    # Read off the presentation itself: `components` normalizes first.
+    if isinstance(link, HopfSum):
+        return link.plus + link.minus + 1
+    return link.k + isinstance(link, OneCore) + 2 * isinstance(link, TwoCore)
+
+
 @settings(max_examples=300)
 @given(raw_links())
 def test_normalize_preserves_component_count(raw):
-    assert components(normalize(raw)) == components(raw)
+    assert components(raw) == _presented_components(raw)
+    assert _presented_components(normalize(raw)) == _presented_components(raw)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [HopfSum(-3, 0), ZeroCore(2, 3, 0, 0), ZeroCore(1, 3, 1, 1),
+     ZeroCore(2, 4, 1, 1)],
+)
+def test_components_rejects_invalid_input(raw):
+    with pytest.raises(LinkInputError):
+        components(raw)
+
+
+# -- the Seifert view -------------------------------------------------------------
+
+
+def test_view_round_trips_on_the_grid(grid):
+    cores = [link for link in grid if not isinstance(link, HopfSum)]
+    assert len(cores) > 1000
+    for link in cores + [HopfSum(1, 0)]:
+        assert normalize(_of_shape(*_shape(link))) == link
+
+
+def test_normalize_stores_the_view(grid):
+    for link in grid:
+        assert normalize(link)._view == _shape(link)
+    assert normalize(HopfSum(0, 1))._view == (1, 1, 2, 2, 0, 0)
+    assert normalize(HopfSum(2, 1))._view is None
+    assert normalize(TwoCore(5, 2, 1, 1, -1, 1))._view == (2, 5, 1, 1, 1, -1)
 
 
 def _total_linking_number(link):
