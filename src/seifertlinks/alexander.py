@@ -5,11 +5,12 @@ to units its one-variable Alexander polynomial is
 
     c * prod(1 - t^m for m in numerator) / prod(1 - t^d for d in denominator)
 
-over two short lists of positive exponents (None stands for the zero
-polynomial).  Breadth, genus, determinant and cyclotomic divisibility
-are read off the exponents directly.  No polynomial arithmetic is done
-elsewhere than in `delta`, which expands the product and wraps the
-sorted terms in the one `LaurentPoly` it returns.
+over short lists of positive exponents, the k equal ones held once with
+their count (None stands for the zero polynomial).  Genus, determinant
+and cyclotomic divisibility are read off them in time independent of k.
+No polynomial arithmetic is done elsewhere than in `delta`, which
+expands the product and wraps the sorted terms in the one `LaurentPoly`
+it returns.
 
 The first numerator exponent is always 1, so Delta = c (1 - t) F(t^g),
 where g is the gcd of the other exponents, and `delta` takes one of two
@@ -43,7 +44,7 @@ from typing import Optional
 
 from .errors import InvalidParameters, InvariantViolation
 from .laurent import LaurentPoly
-from .link_model import HopfSum, SeifertLink, components, normalize
+from .link_model import HopfSum, SeifertLink, normalize
 
 __all__ = [
     "delta",
@@ -52,13 +53,13 @@ __all__ = [
     "cyclotomic_divides",
 ]
 
-# (content, numerator exponents, denominator exponents)
-_Factored = tuple[int, tuple[int, ...], tuple[int, ...]]
+# (c, (m, count), denominator): c (1 - t)(1 - t^m)^count / prod(1 - t^d).
+_Factored = tuple[int, tuple[int, int], tuple[int, ...]]
 
 
 def _factored(link: SeifertLink) -> Optional[_Factored]:
-    """(content, numerator exponents, denominator exponents) of Delta for
-    a canonical link, or None when Delta vanishes identically.
+    """(content, (m, count), denominator exponents) of Delta for a
+    canonical link, or None when Delta vanishes identically.
 
     Off the Hopf sums this is the splice formula of Eisenbud and Neumann
     over the view (p, q, k, w, e1, e2) of `link_model`: with the total
@@ -66,19 +67,21 @@ def _factored(link: SeifertLink) -> Optional[_Factored]:
     prod(1 - t^(|s|/a)) over the positions of multiplicity a not in the
     link.  s = 0 only for coreless links with w = 0: k = 2 gives p q."""
     if isinstance(link, HopfSum):
-        return 1, (1,) * (link.plus + link.minus), ()
+        return 1, (1, link.plus + link.minus - 1), ()
     p, q, k, w, e1, e2 = link._view
     s = abs(w * p * q + e1 * p + e2 * q)
     if s == 0:
-        return (p * q, (1,), ()) if k == 2 else None
-    return 1, (1,) + (s,) * k, (() if e1 else (s // q,)) + (() if e2 else (s // p,))
+        return (p * q, (1, 0), ()) if k == 2 else None
+    return 1, (s, k), (() if e1 else (s // q,)) + (() if e2 else (s // p,))
 
 
-def _cyclotomic_count(n: int, factored: _Factored) -> int:
-    """Multiplicity of Phi_n in Delta: Phi_n divides 1 - t^m exactly when
-    n divides m, and then only once."""
-    _, numerator, denominator = factored
-    return sum(m % n == 0 for m in numerator) - sum(d % n == 0 for d in denominator)
+def _phi_divides(n: int, factored: Optional[_Factored]) -> bool:
+    """Whether Phi_n divides Delta (always for the zero polynomial, None):
+    Phi_n divides 1 - t^m exactly when n divides m, and then only once."""
+    if factored is None:
+        return True
+    _, (m, count), denominator = factored
+    return (n == 1) + count * (m % n == 0) > sum(d % n == 0 for d in denominator)
 
 
 def _divide_by_one_minus_power(
@@ -114,9 +117,10 @@ def _divide_by_one_minus_power(
     return quotient
 
 
-def _strided_coefficients(factored: _Factored, g: int) -> list[int]:
+def _strided_coefficients(expanded: tuple, g: int) -> list[int]:
     """Coefficients of c * F(u), from u^0 up with none left out, where
-    Delta = c (1 - t) F(t^g) and g divides every exponent but the first.
+    Delta = c (1 - t) F(t^g) is (c, numerator, denominator) with every
+    exponent listed, and g divides every exponent but the first.
 
     Multiplying by 1 - u^m subtracts the list, shifted up by m, from
     itself.  Dividing by 1 - u^d replaces each residue class mod d by its
@@ -124,14 +128,14 @@ def _strided_coefficients(factored: _Factored, g: int) -> list[int]:
     then zero.  Each numerator factor is followed by the first pending
     divisor that divides it, which makes that quotient exact and keeps
     the list short; a divisor left over is taken out at the end."""
-    content, numerator, denominator = factored
+    content, numerator, denominator = expanded
     coefficients = [content]
 
     def divide(d: int) -> None:
         for residue in range(d):
             coefficients[residue::d] = accumulate(coefficients[residue::d])
         if any(coefficients[-d:]):
-            raise InvariantViolation(f"1 - t^{g * d} leaves a remainder in {factored}")
+            raise InvariantViolation(f"1 - t^{g * d} leaves a remainder in {expanded}")
         del coefficients[-d:]
 
     pending = [d // g for d in denominator]
@@ -165,14 +169,12 @@ def delta(link: SeifertLink) -> LaurentPoly:
     factored = _factored(normalize(link))
     if factored is None:
         return LaurentPoly(())
-    content, numerator, denominator = factored
-    g = gcd(*numerator[1:], *denominator)
+    content, (m, copies), denominator = factored
+    numerator = (1,) + (m,) * copies
+    g = gcd(m, *denominator)
     if g >= 2:
-        even = [
-            (exp, coef)
-            for exp, coef in zip(count(0, g), _strided_coefficients(factored, g))
-            if coef
-        ]
+        dense = _strided_coefficients((content, numerator, denominator), g)
+        even = [(exp, coef) for exp, coef in zip(count(0, g), dense) if coef]
         terms = [None] * (2 * len(even))
         terms[::2] = even
         terms[1::2] = [(exp + 1, -coef) for exp, coef in even]
@@ -202,12 +204,11 @@ def determinant(link: SeifertLink) -> int:
     otherwise c times the product of f(m) over the numerator divided by
     that over the denominator, f(m) = m for even m and 2 for odd m."""
     factored = _factored(normalize(link))
-    if factored is None or _cyclotomic_count(2, factored) > 0:
+    if _phi_divides(2, factored):
         return 0
-    content, numerator, denominator = factored
-    top, bottom = content, 1
-    for m in numerator:
-        top *= m if m % 2 == 0 else 2
+    content, (m, count), denominator = factored
+    # f(1) = 2 for the leading exponent, then f(m) once per copy of m.
+    top, bottom = content * 2 * (m if m % 2 == 0 else 2) ** count, 1
     for d in denominator:
         bottom *= d if d % 2 == 0 else 2
     return top // bottom
@@ -218,14 +219,16 @@ def genus(link: SeifertLink) -> int:
 
     Every link of the class realizes the Alexander-polynomial bound, so
     the genus is (breadth - components + 1) / 2, and 0 on the
-    non-fibred (zero polynomial) cases.
+    non-fibred (zero polynomial) cases.  Delta has components - 1 more
+    numerator factors than denominator factors, so 2g = sum(m - 1) -
+    sum(d - 1) over their exponents.
     """
     link = normalize(link)
     factored = _factored(link)
     if factored is None:
         return 0
-    _, numerator, denominator = factored
-    spread = sum(numerator) - sum(denominator) - components(link) + 1
+    _, (m, count), denominator = factored
+    spread = count * (m - 1) - sum(denominator) + len(denominator)
     if spread % 2 != 0:
         raise InvariantViolation(f"odd genus spread for {link!r}")
     return spread // 2
@@ -236,8 +239,7 @@ def cyclotomic_divides(n: int, link: SeifertLink) -> bool:
     zero polynomial).  Detects positive first Betti number of the n-fold
     cyclic branched cover.
 
-    Read off the exponents: see `_cyclotomic_count`."""
+    Read off the exponents: see `_phi_divides`."""
     if n < 1:
         raise InvalidParameters("cyclotomic index must be a positive integer")
-    factored = _factored(normalize(link))
-    return factored is None or _cyclotomic_count(n, factored) > 0
+    return _phi_divides(n, _factored(normalize(link)))

@@ -187,21 +187,29 @@ def is_definite(link: SeifertLink) -> bool:
 def is_ade_up_to_orientation(link: SeifertLink) -> bool:
     """Whether some reorientation of the underlying link is an ADE link.
 
-    Raises NotPrime on composite input.  Equivalent to positivity of the
-    orbifold Euler characteristic of the double-cover base; the suite
-    checks that equivalence against the orbifold module.  Decided in
-    integers: the double-cover base has cone orders 2 (k times), a and b,
-    and its Euler characteristic 1/a + 1/b - k/2 is positive exactly when
-    k*a*b < 2(a + b).  Over the view of `link_model`, a and b are the
-    multiplicities q and p, doubled where the core is part of the link.
+    Raises NotPrime on composite input.  Equivalent to a double-cover
+    base of positive Euler characteristic (`_spherical_base` at n = 2);
+    the suite checks that equivalence against the orbifold module.
     """
-    link = normalize(link)
-    if not is_prime(link):
+    view = normalize(link)._view
+    if view is None:
         raise NotPrime("ADE membership up to orientation needs a prime link")
-    p, q, k, _, e1, e2 = link._view
-    a = 2 * q if e1 else q
-    b = 2 * p if e2 else p
-    return k * a * b < 2 * (a + b)
+    return _spherical_base(view, 2)
+
+
+def _core_orders(view: tuple[int, ...], n: int) -> tuple[int, int]:
+    """The orders a and b of the exceptional positions of a prime link's
+    view in the n-fold cover's base: q and p, times n at a core."""
+    p, q, _, _, e1, e2 = view
+    return (q * n if e1 else q), (p * n if e2 else p)
+
+
+def _spherical_base(view: tuple[int, ...], n: int) -> bool:
+    """Whether the n-fold cover's base, with k cone points of order n and
+    those of `_core_orders` (an order 1 adds nothing), has chi = 1/a + 1/b -
+    k(1 - 1/n) > 0, that is k a b (n - 1) < n (a + b)."""
+    a, b = _core_orders(view, n)
+    return view[2] * a * b * (n - 1) < n * (a + b)
 
 
 class ClassificationReport(Record):
@@ -223,12 +231,12 @@ class ClassificationReport(Record):
 
 def classification_report(link: SeifertLink) -> ClassificationReport:
     link = normalize(link)
-    prime = is_prime(link)
+    view = link._view
     positive = in_P(link)
     g = genus(link)
     equal, four_genus = g4_status(link)
     return ClassificationReport(
-        is_prime=prime,
+        is_prime=view is not None,
         is_fibred=is_fibred(link),
         in_P=positive,
         is_braid_positive=positive,
@@ -239,7 +247,5 @@ def classification_report(link: SeifertLink) -> ClassificationReport:
         g4=four_genus,
         is_definite=is_definite(link),
         dynkin=is_ade(link),
-        ade_up_to_orientation=(
-            is_ade_up_to_orientation(link) if prime else False
-        ),
+        ade_up_to_orientation=view is not None and _spherical_base(view, 2),
     )

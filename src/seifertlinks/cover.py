@@ -23,30 +23,18 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from ._record import Record
-from .alexander import cyclotomic_divides
-from .classify import is_ade_up_to_orientation
+from .alexander import _factored, _phi_divides, cyclotomic_divides
+from .classify import _spherical_base
 from .errors import (
     InvalidParameters,
     InvariantViolation,
     NotCore,
     NotInCatalog,
+    NotPrime,
     WeightMismatch,
 )
-from .link_model import (
-    HopfSum,
-    OneCore,
-    SeifertLink,
-    ZeroCore,
-    _of_shape,
-    components,
-    normalize,
-)
-from .orbifold import (
-    FiniteGroupTag,
-    _require_level,
-    _require_prime,
-    finite_group,
-)
+from .link_model import HopfSum, OneCore, SeifertLink, ZeroCore, _of_shape, normalize
+from .orbifold import _BAD_LEVEL, FiniteGroupTag, finite_group
 
 __all__ = [
     "CoverSpec",
@@ -94,7 +82,8 @@ class CoverSpec(Record):
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _require_level(self.n)
+        if self.n < 2:
+            raise InvalidParameters(_BAD_LEVEL)
         for a in self.weights:
             if not 1 <= a <= self.n - 1:
                 raise InvalidParameters(
@@ -114,7 +103,8 @@ def _require_core(link: SeifertLink) -> SeifertLink:
 
 def _require_weighted_core(link: SeifertLink, spec: CoverSpec) -> SeifertLink:
     """The canonical `link`, once it has cores and one weight per component."""
-    expected = components(_require_core(link))
+    _, _, k, _, e1, e2 = _require_core(link)._view
+    expected = k + abs(e1) + abs(e2)
     if len(spec.weights) != expected:
         raise WeightMismatch(
             f"expected {expected} weights, got {len(spec.weights)}"
@@ -125,7 +115,8 @@ def _require_weighted_core(link: SeifertLink, spec: CoverSpec) -> SeifertLink:
 def canonical_weights(link: SeifertLink, n: int) -> CoverSpec:
     """The weights of the canonical n-fold cover of the link as oriented:
     1 on positively oriented components, n-1 on reversed ones."""
-    _require_level(n)
+    if n < 2:
+        raise InvalidParameters(_BAD_LEVEL)
     link = _require_core(normalize(link))
     return CoverSpec(n, _canonical_weight_tuple(link, n))
 
@@ -257,7 +248,8 @@ def nlo_seifert_invariants(link: SeifertLink, n: int) -> SeifertInvariants:
     Only the three catalogued families admit this certificate; any other
     pair raises NotInCatalog.
     """
-    _require_level(n)
+    if n < 2:
+        raise InvalidParameters(_BAD_LEVEL)
     link = normalize(link)
     invariants = _catalogued_invariants(link, n)
     if invariants is None:
@@ -367,7 +359,7 @@ def general_psi_lo(
     reorientation) the cyclotomic Betti-number witness.
     """
     link = _require_weighted_core(normalize(link), spec)
-    if not is_ade_up_to_orientation(link):
+    if not _spherical_base(link._view, 2):
         return _LO_NONPOSITIVE_CHI
     data = _rotation_witness(link, spec.n, spec.weights)
     if data is not None:
@@ -463,11 +455,12 @@ def canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
     witnessed by rotation numbers, a positive first Betti number or the
     horizontal-foliation catalog.
     """
-    _require_level(n)
-    link = _require_prime(
-        normalize(link), "star status is defined for prime links only"
-    )
-    if is_ade_up_to_orientation(link):
+    if n < 2:
+        raise InvalidParameters(_BAD_LEVEL)
+    link = normalize(link)
+    if link._view is None:
+        raise NotPrime("star status is defined for prime links only")
+    if _spherical_base(link._view, 2):
         group = finite_group(link, n)
         if group is not None:
             return StarStatus(False, FinitePi1(group))
@@ -479,11 +472,11 @@ def canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
             return StarStatus(False, NoCTF_SeifertObstruction(invariants))
         if isinstance(link, ZeroCore) and (link.p, link.k, link.w) == (1, 2, 0):
             return _TWO_BRIDGE
-        if cyclotomic_divides(n, link):
+        if _phi_divides(n, _factored(link)):
             return StarStatus(True, PositiveBetti(n))
     data = _rotation_witness(link, n, _canonical_weight_tuple(link, n))
     if data is not None:
         return StarStatus(True, PSL2R_Rep(data))
-    if cyclotomic_divides(n, link):
+    if _phi_divides(n, _factored(link)):
         return StarStatus(True, PositiveBetti(n))
     return _HOROFOLIATION

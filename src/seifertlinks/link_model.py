@@ -18,9 +18,9 @@ of an included core circle.
 Different parameter tuples can denote the same oriented link.  `normalize`
 rewrites any valid tuple to the unique canonical representative and flags
 it, and a flagged link passes through it again in O(1).  Every public
-function of the package starts with `link = normalize(link)`, so a link
-is validated and rewritten once, where it enters, and the inner calls on
-it cost one flag test each.
+function of the package starts by normalizing its link, so a link is
+validated and rewritten once, where it enters; the verdicts of
+`alexander`, `orbifold` and `cover` check the rest inline.
 
 Every prime link of the class is k regular fibres and two exceptional
 positions, of multiplicities q and p, each either a core of the link or

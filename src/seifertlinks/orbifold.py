@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from ._record import Record
-from .classify import DynkinType, is_ade, is_prime
+from .classify import DynkinType, _core_orders, _spherical_base, is_ade
 from .errors import InvalidParameters, InvariantViolation, NotPrime
 from .link_model import SeifertLink, ZeroCore, normalize, reorient_to_P
 
@@ -86,37 +86,26 @@ def _chi_terms(cone_orders: tuple[int, ...]) -> tuple[int, int]:
     return (2 - len(cone_orders)) * lcm + inverses, lcm
 
 
-def _require_level(n: int) -> None:
-    if n < 2:
-        raise InvalidParameters("branched-cover index n must be at least 2")
-
-
-def _require_prime(
-    link: SeifertLink,
-    message: str = "branched-cover analysis applies to prime links only",
-) -> SeifertLink:
-    """The canonical `link` itself, once it is known to be prime."""
-    if not is_prime(link):
-        raise NotPrime(message)
-    return link
+_BAD_LEVEL = "branched-cover index n must be at least 2"
+_NOT_PRIME = "branched-cover analysis applies to prime links only"
 
 
 def b_bar(link: SeifertLink, n: int) -> ConeOrbifold:
     """Base orbifold of the n-fold cyclic branched cover.
 
-    The branch copies each contribute a cone of order n; the two
-    exceptional positions of the link's view (see `link_model`)
-    contribute their multiplicities q and p, times n where the core is
-    part of the link.  Those two orders are placed among the k copies of
-    n by comparison, and an order 1 is dropped, so the orders come out
-    sorted without a sort.
+    The branch copies each contribute a cone of order n, and the two
+    exceptional positions the orders of `_core_orders`.  Those two are
+    placed among the k copies of n by comparison, and an order 1 is
+    dropped, so the orders come out sorted without a sort.
     """
-    _require_level(n)
-    p, q, k, _, e1, e2 = _require_prime(normalize(link))._view
-    a = q * n if e1 else q
-    b = p * n if e2 else p
+    if n < 2:
+        raise InvalidParameters(_BAD_LEVEL)
+    view = normalize(link)._view
+    if view is None:
+        raise NotPrime(_NOT_PRIME)
+    a, b = _core_orders(view, n)
     low, high = (a, b) if a <= b else (b, a)
-    copies = (n,) * k
+    copies = (n,) * view[2]
     if low >= n:
         return ConeOrbifold(copies + (low, high))
     if high > n:
@@ -142,8 +131,12 @@ class FibreCoverData(Record):
 
 
 def fibre_data(link: SeifertLink, n: int) -> FibreCoverData:
-    _require_level(n)
-    p, q, _, w, e1, e2 = _require_prime(normalize(link))._view
+    if n < 2:
+        raise InvalidParameters(_BAD_LEVEL)
+    view = normalize(link)._view
+    if view is None:
+        raise NotPrime(_NOT_PRIME)
+    p, q, _, w, e1, e2 = view
     s = w * p * q + e1 * p + e2 * q
     r = n // math.gcd(n, s % n)
     return FibreCoverData(s=s, r=r, cover_degree=n // r)
@@ -213,24 +206,30 @@ def finite_group(link: SeifertLink, n: int) -> Optional[FiniteGroupTag]:
     """The fundamental group of the n-fold branched cover when finite.
 
     None when the group is infinite (non-positive base Euler
-    characteristic).  At n = 2 the group is read off the Dynkin type of
-    the positively reoriented link; at higher n a finite catalog covers
-    the torus-link cases, lens-space bases give cyclic groups, and the
-    one genuinely unidentified case is reported as such.
+    characteristic, read off the link's view by `_spherical_base`).  At
+    n = 2 the group is read off the Dynkin type of the positively
+    reoriented link; at higher n lens-space bases (at most two cone
+    points) give cyclic groups, a finite catalog covers the torus-link
+    cases, and the one genuinely unidentified case is reported as such,
+    the only one for which the base orbifold is built.
     """
-    _require_level(n)
+    if n < 2:
+        raise InvalidParameters(_BAD_LEVEL)
     link = normalize(link)
-    base = b_bar(link, n)  # also requires a prime link
-    if _chi_terms(base.cone_orders)[0] <= 0:
+    view = link._view
+    if view is None:
+        raise NotPrime(_NOT_PRIME)
+    if not _spherical_base(view, n):
         return None
     if n == 2:
         dynkin = is_ade(reorient_to_P(link))
         if dynkin is None:
             raise InvariantViolation(f"spherical double cover of non-ADE {link!r}")
         return _two_fold_group(dynkin)
-    if len(base.cone_orders) <= 2:
+    a, b = _core_orders(view, n)
+    if view[2] + (a > 1) + (b > 1) <= 2:
         return Cyclic(n)
     tag = _HIGHER_COVER_GROUPS.get((link, n))
     if tag is not None:
         return tag
-    return FiniteUnidentified(base)
+    return FiniteUnidentified(b_bar(link, n))

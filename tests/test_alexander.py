@@ -206,8 +206,8 @@ def test_dense_expansion_is_no_longer_than_the_answer(grid):
         factored = _factored(link)
         if factored is None:
             continue
-        _, numerator, denominator = factored
-        g = gcd(*numerator[1:], *denominator)
+        _, (m, _), denominator = factored
+        g = gcd(m, *denominator)
         if g >= 2:
             poly = delta(link)
             assert len(poly.terms) >= poly.breadth // g + 1, link

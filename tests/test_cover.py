@@ -17,6 +17,7 @@ from seifertlinks import (
     JNData,
     LO,
     NoCTF_SeifertObstruction,
+    NotCoprime,
     NotCore,
     NotInCatalog,
     NotPrime,
@@ -31,6 +32,8 @@ from seifertlinks import (
     b_bar,
     canonical_star_status,
     canonical_weights,
+    fibre_data,
+    finite_group,
     general_psi_lo,
     is_prime,
     jn_data,
@@ -78,22 +81,31 @@ def test_canonical_weights_rejections():
 
 
 def test_cover_index_is_checked_before_the_link():
-    # n < 2 is reported first, whatever is wrong with the link, and each
-    # check keeps its own error type and message.
+    # n < 2 is reported first, whatever is wrong with the link; then an
+    # invalid link, before its shape is looked at; each check keeps its
+    # own error type and message.
     bad_index = "branched-cover index n must be at least 2"
-    for link in (HopfSum(1, 0), HopfSum(2, 1), ZeroCore(2, 4, 1, 1)):
-        for check in (
-            canonical_weights,
-            canonical_star_status,
-            nlo_seifert_invariants,
-            b_bar,
-        ):
+    checks = (
+        canonical_weights,
+        canonical_star_status,
+        nlo_seifert_invariants,
+        b_bar,
+        fibre_data,
+        finite_group,
+    )
+    for check in checks:
+        for link in (HopfSum(1, 0), HopfSum(2, 1), ZeroCore(2, 4, 1, 1)):
             with pytest.raises(InvalidParameters, match=bad_index):
                 check(link, 1)
+        with pytest.raises(NotCoprime, match="not coprime"):
+            check(ZeroCore(2, 4, 1, 1), 3)
     with pytest.raises(NotCore, match="needs a core presentation"):
         canonical_weights(HopfSum(1, 0), 3)
     with pytest.raises(NotPrime, match="star status is defined for prime"):
         canonical_star_status(HopfSum(2, 1), 3)
+    for check in (b_bar, fibre_data, finite_group):
+        with pytest.raises(NotPrime, match="branched-cover analysis applies"):
+            check(HopfSum(2, 1), 3)
 
 
 def test_weight_count_must_match_components():

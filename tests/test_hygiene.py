@@ -301,11 +301,15 @@ _VIEW_READERS = (
     ("alexander.py", "_factored"),
     ("orbifold.py", "b_bar"),
     ("orbifold.py", "fibre_data"),
+    ("orbifold.py", "finite_group"),
     ("cover.py", "_sigma_sums"),
     ("cover.py", "_angles"),
     ("cover.py", "_canonical_weight_tuple"),
     ("cover.py", "_link_of_weights"),
+    ("cover.py", "_require_weighted_core"),
     ("classify.py", "is_ade_up_to_orientation"),
+    ("classify.py", "_core_orders"),
+    ("classify.py", "_spherical_base"),
     ("classify.py", "in_P"),
     ("link_model.py", "components"),
     ("link_model.py", "reorient_to_P"),

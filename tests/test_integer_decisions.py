@@ -7,20 +7,40 @@ patch each constructor to fail and compare the answers over the prime
 grid links with `repr`s taken before patching.  The rotation witness
 tests sigma*npq of the cover and of its reflection in integers, so the
 angle list is built once per `PSL2R_Rep` verdict and never otherwise.
+
+The k equal exponents of Delta are held once with their count, and
+finiteness is read off the view, so the genus, the determinant where
+1 + t divides Delta, cyclotomic divisibility, the finite group, the
+fibre data and the classification report are answered for k = 10^11
+fibre copies, in memory that does not grow with k.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from seifertlinks import (
+    ClassificationReport,
+    FibreCoverData,
     HopfSum,
+    OneCore,
     PSL2R_Rep,
+    StrictlyLessThanGenus,
+    TwoCore,
+    ZeroCore,
     canonical_star_status,
     canonical_weights,
+    classification_report,
     cover,
+    cyclotomic_divides,
+    determinant,
+    fibre_data,
     finite_group,
     general_psi_lo,
+    genus,
+    is_ade_up_to_orientation,
     is_prime,
     orbifold,
 )
@@ -81,3 +101,66 @@ def test_only_the_returned_witness_builds_angles(prime_links, monkeypatch):
                 assert len(built) == expected, (link, n, verdict)
                 witnesses += expected
     assert witnesses > 1000
+
+
+def many_copies(k):
+    """(link, function, args, closed-form value) of every verdict that
+    must not grow with k, on three links with k (odd) fibre copies.
+
+    Per link: the genus, whether Phi_n divides Delta for n = 2, 3, 5, 6,
+    the determinant and the fibre data at n = 3."""
+    shapes = [
+        # s = 6; Delta = (1 - t)(1 - t^6)^k / ((1 - t^2)(1 - t^3)).
+        (ZeroCore(2, 3, k, 1), (5 * k - 3) // 2, (1, 1, 0, 1), 0, (6, 1, 3)),
+        # s = 8; Delta = (1 - t)(1 - t^8)^k / (1 - t^4).
+        (OneCore(2, 3, k, 1, 1), (7 * k - 3) // 2, (1, 0, 0, 0), 0, (8, 3, 1)),
+        # s = 3; Delta = (1 - t)(1 - t^3)^k.  1 + t does not divide it, so
+        # the determinant is 2^(k + 1), an answer of k bits, and is left out.
+        (TwoCore(2, 5, k, 1, -1, -1), k, (0, 1, 0, 0), None, (3, 1, 3)),
+    ]
+    cases = []
+    for link, g, divides, det, fibre in shapes:
+        cases.append((link, genus, (link,), g))
+        cases += [
+            (link, cyclotomic_divides, (n, link), bool(answer))
+            for n, answer in zip((2, 3, 5, 6), divides)
+        ]
+        if det is not None:
+            cases.append((link, determinant, (link,), det))
+        cases += [(link, finite_group, (link, n), None) for n in (2, 3)]
+        cases.append((link, is_ade_up_to_orientation, (link,), False))
+        cases.append((link, fibre_data, (link, 3), FibreCoverData(*fibre)))
+        report = ClassificationReport(
+            is_prime=True,
+            is_fibred=True,
+            in_P=False,
+            is_braid_positive=False,
+            is_sqp=False,
+            is_genus_zero=False,
+            g4_equals_g=False,
+            genus=g,
+            g4=StrictlyLessThanGenus(),
+            is_definite=False,
+            dynkin=None,
+            ade_up_to_orientation=False,
+        )
+        cases.append((link, classification_report, (link,), report))
+    return cases
+
+
+def test_verdicts_at_a_hundred_billion_copies():
+    for link, function, args, expected in many_copies(99_999_999_999):
+        assert function(*args) == expected, (link, function.__name__)
+    assert genus(ZeroCore(2, 3, 99_999_999_999, 1)) == 249_999_999_996
+
+
+def test_verdict_memory_does_not_grow_with_k():
+    cases = many_copies(10**7 + 1)
+    tracemalloc.start()
+    try:
+        for link, function, args, expected in cases:
+            assert function(*args) == expected, (link, function.__name__)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

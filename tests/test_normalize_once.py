@@ -8,6 +8,11 @@ normalizations are of links built fresh inside a call, such as the
 positive reorientation of a link outside P.  The tests count the full
 normalizations, the calls whose argument is not yet flagged, in process
 by wrapping every module binding of `link_model.normalize`.
+
+The cover verdicts and the Alexander invariants go further: each reads
+its link's view through one `normalize` call, flagged or not, and makes
+its checks inline instead of through other public functions.  One test
+counts every call.
 """
 
 from __future__ import annotations
@@ -19,18 +24,33 @@ import pytest
 from seifertlinks import (
     TABLE_NAMES,
     HopfSum,
+    b_bar,
     canonical_star_status,
     canonical_weights,
     classification_report,
     cover,
+    cyclotomic_divides,
+    fibre_data,
     general_psi_lo,
+    genus,
     in_P,
+    is_ade_up_to_orientation,
     is_prime,
     link_model,
     normalize,
 )
 from seifertlinks._record import replace
 from seifertlinks.cli import main
+
+
+def patch_normalize(monkeypatch, replacement):
+    """Put `replacement` in place of every module binding of `normalize`."""
+    original = link_model.normalize
+    for name, module in list(sys.modules.items()):
+        if name == "seifertlinks" or name.startswith("seifertlinks."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
 
 
 @pytest.fixture
@@ -48,11 +68,7 @@ def normalize_calls(monkeypatch):
         calls[-1] = (link, result)
         return result
 
-    for name, module in list(sys.modules.items()):
-        if name == "seifertlinks" or name.startswith("seifertlinks."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
+    patch_normalize(monkeypatch, counted)
     return calls
 
 
@@ -165,3 +181,36 @@ def test_a_canonical_link_passes_through_normalize_unchecked(grid, monkeypatch):
     monkeypatch.setattr(link_model, "_validate", unreachable)
     for link in grid:
         assert normalize(link) is link
+
+
+ONE_READ = {
+    "b_bar": b_bar,
+    "fibre_data": fibre_data,
+    "genus": lambda link, n: genus(link),
+    "cyclotomic_divides": lambda link, n: cyclotomic_divides(n, link),
+    "canonical_star_status": canonical_star_status,
+}
+
+
+@pytest.mark.parametrize("name", ONE_READ)
+def test_a_verdict_reads_its_link_once(grid, monkeypatch, name):
+    # Every call counts, flagged or not.  The star verdict of a link that
+    # is ADE up to orientation also asks `finite_group`, so it is left out.
+    links = [link for link in grid if is_prime(link)]
+    if name == "canonical_star_status":
+        links = [link for link in links if not is_ade_up_to_orientation(link)]
+    assert len(links) > 1000
+    original = link_model.normalize
+    calls = []
+
+    def counted(link):
+        calls.append(link)
+        return original(link)
+
+    patch_normalize(monkeypatch, counted)
+    verdict = ONE_READ[name]
+    for link in links:
+        for n in range(2, 13):
+            calls.clear()
+            verdict(link, n)
+            assert len(calls) == 1, (link, n, len(calls))
