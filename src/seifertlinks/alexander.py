@@ -223,14 +223,17 @@ def genus(link: SeifertLink) -> int:
     numerator factors than denominator factors, so 2g = sum(m - 1) -
     sum(d - 1) over their exponents.
     """
-    link = normalize(link)
-    factored = _factored(link)
+    return _factored_genus(_factored(normalize(link)))
+
+
+def _factored_genus(factored: Optional[_Factored]) -> int:
+    """The genus read off the factored Delta of `_factored`."""
     if factored is None:
         return 0
     _, (m, count), denominator = factored
     spread = count * (m - 1) - sum(denominator) + len(denominator)
     if spread % 2 != 0:
-        raise InvariantViolation(f"odd genus spread for {link!r}")
+        raise InvariantViolation(f"odd genus spread in {factored!r}")
     return spread // 2
 
 

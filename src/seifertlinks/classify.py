@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ._record import Record
-from .alexander import genus
+from .alexander import _factored, _factored_genus
 from .errors import InvalidParameters, NotPrime
 from .link_model import HopfSum, OneCore, SeifertLink, ZeroCore, normalize
 
@@ -99,13 +99,15 @@ _EXCEPTIONAL_ADE = {
 
 
 def is_ade(link: SeifertLink) -> Optional[DynkinType]:
-    """The Dynkin type of `link` if it is one of the ADE links, else None.
+    """The Dynkin type of `link` if it is one of the ADE links, else None."""
+    return _dynkin(normalize(link)._view)
 
-    Over the view (p, q, k, w, e1, e2) of `link_model`, every ADE link is
-    positive with at most the core at q: one fibre with p = 2, or two
-    with p = 1, give A without that core and D with it; four more are
+
+def _dynkin(view: Optional[tuple[int, ...]]) -> Optional[DynkinType]:
+    """`is_ade` over a view (p, q, k, w, e1, e2) of `link_model`: every ADE
+    link is positive with at most the core at q: one fibre with p = 2, or
+    two with p = 1, give A without that core and D with it; four more are
     exceptional."""
-    view = normalize(link)._view
     if view is None:
         return None
     p, q, k, w, e1, e2 = view
@@ -126,18 +128,13 @@ def is_prime(link: SeifertLink) -> bool:
 
 def is_fibred(link: SeifertLink) -> bool:
     """False exactly for the balanced coreless links (w = 0, no cores)."""
-    link = normalize(link)
-    return not (isinstance(link, ZeroCore) and link.w == 0)
+    return classification_report(link).is_fibred
 
 
 def in_P(link: SeifertLink) -> bool:
     """Membership in the positively oriented class: every fibre copy and
     every core runs with the fibration."""
-    link = normalize(link)
-    if isinstance(link, HopfSum):
-        return link.minus == 0
-    _, _, k, w, e1, e2 = link._view
-    return w == k and e1 >= 0 and e2 >= 0
+    return classification_report(link).in_P
 
 
 # Closure of a positive braid word: for this family that is exactly
@@ -147,41 +144,25 @@ is_braid_positive = in_P
 
 def is_sqp(link: SeifertLink) -> bool:
     """Strong quasipositivity."""
-    link = normalize(link)
-    return in_P(link) or (isinstance(link, ZeroCore) and link.w == 0)
+    return classification_report(link).is_sqp
 
 
 def is_genus_zero(link: SeifertLink) -> bool:
     """Whether the Seifert genus vanishes."""
-    return genus(link) == 0
+    return classification_report(link).is_genus_zero
 
 
 def g4_status(link: SeifertLink) -> tuple[bool, FourGenus]:
     """(whether the smooth four-genus equals the Seifert genus, and the
     best four-genus information available)."""
-    link = normalize(link)
-    g = genus(link)
-    if in_P(link) or g == 0:
-        return True, Known(g)
-    if not isinstance(link, HopfSum) and link.w == 0:
-        # Balanced orientations bound annuli in the four-ball.
-        return False, Known(0)
-    return False, StrictlyLessThanGenus()
+    report = classification_report(link)
+    return report.g4_equals_g, report.g4
 
 
 def is_definite(link: SeifertLink) -> bool:
     """Whether the link bounds a surface with definite symmetrized Seifert
     form realizing the genus."""
-    link = normalize(link)
-    if isinstance(link, HopfSum):
-        return link.minus == 0
-    _, _, k, w, e1, _ = view = link._view
-    # The ADE links, the balanced two-copy coreless links and L(2,3;1,1;-,-).
-    return (
-        is_ade(link) is not None
-        or (k, w, e1) == (2, 0, 0)
-        or view == (2, 3, 1, 1, -1, -1)
-    )
+    return classification_report(link).is_definite
 
 
 def is_ade_up_to_orientation(link: SeifertLink) -> bool:
@@ -230,22 +211,36 @@ class ClassificationReport(Record):
 
 
 def classification_report(link: SeifertLink) -> ClassificationReport:
+    """Every predicate of this module for one link, read off its one view;
+    `is_fibred`, `in_P`, `is_sqp`, `is_genus_zero`, `g4_status` and
+    `is_definite` return fields of this report."""
     link = normalize(link)
     view = link._view
-    positive = in_P(link)
-    g = genus(link)
-    equal, four_genus = g4_status(link)
+    g = _factored_genus(_factored(link))
+    dynkin = _dynkin(view)
+    if view is None:  # a composite Hopf sum
+        positive = definite = link.minus == 0
+        balanced = annular = False
+    else:
+        _, _, k, w, e1, e2 = view
+        positive = w == k and e1 >= 0 and e2 >= 0
+        # Balanced orientations bound annuli in the four-ball; without
+        # cores they are the links that are not fibred.
+        annular = w == 0
+        balanced = annular and e1 == e2 == 0
+        # The ADE links, the balanced two-copy coreless links and L(2,3;1,1;-,-).
+        definite = (
+            dynkin is not None
+            or (k, w, e1) == (2, 0, 0)
+            or view == (2, 3, 1, 1, -1, -1)
+        )
+    if positive or g == 0:
+        equal, four_genus = True, Known(g)
+    else:
+        equal, four_genus = False, Known(0) if annular else StrictlyLessThanGenus()
+    # In field order: keyword arguments would go through `_record._arrange`.
     return ClassificationReport(
-        is_prime=view is not None,
-        is_fibred=is_fibred(link),
-        in_P=positive,
-        is_braid_positive=positive,
-        is_sqp=is_sqp(link),
-        is_genus_zero=g == 0,
-        g4_equals_g=equal,
-        genus=g,
-        g4=four_genus,
-        is_definite=is_definite(link),
-        dynkin=is_ade(link),
-        ade_up_to_orientation=view is not None and _spherical_base(view, 2),
+        view is not None, not balanced, positive, positive, positive or balanced,
+        g == 0, equal, g, four_genus, definite, dynkin,
+        view is not None and _spherical_base(view, 2),
     )

@@ -20,6 +20,7 @@ arbitrary weighted cover.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional, Union
 
 from ._record import Record
@@ -117,21 +118,27 @@ def canonical_weights(link: SeifertLink, n: int) -> CoverSpec:
     1 on positively oriented components, n-1 on reversed ones."""
     if n < 2:
         raise InvalidParameters(_BAD_LEVEL)
-    link = _require_core(normalize(link))
-    return CoverSpec(n, _canonical_weight_tuple(link, n))
+    runs, cores = _canonical_runs(_require_core(normalize(link)), n)
+    (a, c), (b, d) = runs
+    return CoverSpec(n, (a,) * c + (b,) * d + tuple(filter(None, cores)))
 
 
-def _canonical_weight_tuple(link: SeifertLink, n: int) -> tuple[int, ...]:
-    """The weights of `canonical_weights` as a bare tuple, for the callers
-    that need no `CoverSpec`."""
+def _canonical_runs(link: SeifertLink, n: int) -> tuple[tuple, tuple[int, int]]:
+    """The weights of `canonical_weights` as `_runs` gives them, read off
+    the view: the (k + w)/2 positive copies, then the reversed ones; a
+    core of sign 1 or -1 has weight e % n, 1 or n - 1 (0: no core)."""
     _, _, k, w, e1, e2 = link._view
     positives = (k + w) // 2
-    weights = (1,) * positives + (n - 1,) * (k - positives)
-    if e1:
-        weights += (1 if e1 > 0 else n - 1,)
-    if e2:
-        weights += (1 if e2 > 0 else n - 1,)
-    return weights
+    return ((1, positives), (n - 1, k - positives)), (e1 % n, e2 % n)
+
+
+def _runs(link: SeifertLink, weights: tuple[int, ...]) -> tuple[tuple, tuple[int, int]]:
+    """(copy runs, core weights) of a weight tuple: the copies' weights as
+    ordered (weight, count) runs, and the weight of each core, 0 where the
+    core is not a component."""
+    _, _, k, _, e1, e2 = link._view
+    runs = tuple((a, len(list(run))) for a, run in groupby(weights[:k]))
+    return runs, (e1 and weights[k], e2 and weights[-1])
 
 
 class JNData(Record):
@@ -159,24 +166,28 @@ def jn_data(link: SeifertLink, spec: CoverSpec) -> JNData:
     multiplicity m > 1 contributes the background angle 1/m.
     """
     link = _require_weighted_core(normalize(link), spec)
-    total = _sigma_sums(link, spec.n, spec.weights)[1]
-    return _jn_record(link, spec.n, spec.weights, total)
+    runs, cores = _runs(link, spec.weights)
+    total = _sigma_sums(link, spec.n, runs, cores)[1]
+    return _jn_record(link, spec.n, runs, cores, total)
 
 
 def _sigma_sums(
-    link: SeifertLink, n: int, weights: tuple[int, ...]
+    link: SeifertLink, n: int, runs: tuple, cores: tuple[int, int]
 ) -> tuple[int, int, int]:
     """(r, sigma*npq of the cover, sigma*npq of its reflection), in
-    integers straight from the weights: every angle's denominator divides
+    integers straight from the runs: every angle's denominator divides
     n*p*q, and reflecting sends each weight a to n - a.
 
     Per exceptional position of multiplicity a, in units of npq/(na):
     a core of weight c adds c, and n - c on the reflected side; an
     unbranched fibre adds n to both sides when a > 1, nothing when a = 1."""
-    p, q, k, _, e1, e2 = link._view
-    c1, d1 = (weights[k], n - weights[k]) if e1 else (n, n) if q > 1 else (0, 0)
-    c2, d2 = (weights[-1], n - weights[-1]) if e2 else (n, n) if p > 1 else (0, 0)
-    copies = sum(weights[:k])
+    p, q, k = link._view[:3]
+    c1, c2 = cores
+    c1, d1 = (c1, n - c1) if c1 else (n, n) if q > 1 else (0, 0)
+    c2, d2 = (c2, n - c2) if c2 else (n, n) if p > 1 else (0, 0)
+    copies = 0
+    for a, c in runs:
+        copies += a * c
     pq = p * q
     return (
         k + (c1 > 0) + (c2 > 0),
@@ -185,31 +196,22 @@ def _sigma_sums(
     )
 
 
-def _angles(link: SeifertLink, n: int, weights: tuple[int, ...]) -> list:
-    """(numerator, denominator) of each angle of the weighted cover."""
-    p, q, k, _, e1, e2 = link._view
-    angles = [(a, n) for a in weights[:k]]
-    if e1:
-        angles.append((weights[k], n * q))
-    elif q > 1:
-        angles.append((1, q))
-    if e2:
-        angles.append((weights[-1], n * p))
-    elif p > 1:
-        angles.append((1, p))
-    return angles
-
-
 def _jn_record(
-    link: SeifertLink, n: int, weights: tuple[int, ...], total: int
+    link: SeifertLink, n: int, runs: tuple, cores: tuple[int, int], total: int
 ) -> JNData:
-    """The record of the cover with these weights, whose sigma*npq is
-    `total`."""
-    angles = _angles(link, n, weights)
-    # The k branch copies often share one angle: one Fraction per value.
-    made = {angle: Fraction(*angle) for angle in set(angles)}
-    thetas = tuple(map(made.__getitem__, angles))
-    return JNData(thetas, Fraction(total, n * link.p * link.q), len(thetas))
+    """The record of the cover with these runs and core weights, whose
+    sigma*npq is `total`: one `Fraction` per run, repeated by its count."""
+    p, q = link._view[:2]
+    thetas = ()
+    for a, c in runs:
+        if c:
+            thetas += (Fraction(a, n),) * c
+    c1, c2 = cores
+    if c1 or q > 1:
+        thetas += (Fraction(c1, n * q) if c1 else Fraction(1, q),)
+    if c2 or p > 1:
+        thetas += (Fraction(c2, n * p) if c2 else Fraction(1, p),)
+    return JNData(thetas, Fraction(total, n * p * q), len(thetas))
 
 
 def jn_lo_sufficient(data: JNData) -> bool:
@@ -361,7 +363,7 @@ def general_psi_lo(
     link = _require_weighted_core(normalize(link), spec)
     if not _spherical_base(link._view, 2):
         return _LO_NONPOSITIVE_CHI
-    data = _rotation_witness(link, spec.n, spec.weights)
+    data = _rotation_witness(link, spec.n, *_runs(link, spec.weights))
     if data is not None:
         return LO(PSL2R_Rep(data))
     if all(a in (1, spec.n - 1) for a in spec.weights):
@@ -372,22 +374,25 @@ def general_psi_lo(
 
 
 def _rotation_witness(
-    link: SeifertLink, n: int, weights: tuple[int, ...]
+    link: SeifertLink, n: int, runs: tuple, cores: tuple[int, int]
 ) -> Optional[JNData]:
     """Rotation-number data forcing a left-orderable lift, read from the
-    cover with these weights or else from its reflection; None when
-    neither suffices.
+    cover with these runs and core weights or else from its reflection;
+    None when neither suffices.
 
     Both sides are tested on the integer sigma*npq of `_sigma_sums`, so
-    no angle and no reflected weight is built for a side that fails; the
-    angle list, and the reflected weights when the reflection wins, are
-    built once, for the one record returned."""
-    r, total, reflected = _sigma_sums(link, n, weights)
-    common = n * link.p * link.q
+    no angle and no reflected run is built for a side that fails; the
+    angles, and the reflected runs when the reflection wins, are built
+    once, for the one record returned."""
+    r, total, reflected = _sigma_sums(link, n, runs, cores)
+    p, q = link._view[:2]
+    common = n * p * q
     if _lo_sufficient(r, total, common):
-        return _jn_record(link, n, weights, total)
+        return _jn_record(link, n, runs, cores, total)
     if _lo_sufficient(r, reflected, common):
-        return _jn_record(link, n, tuple(n - a for a in weights), reflected)
+        runs = tuple((n - a, c) for a, c in runs)
+        cores = tuple(c and n - c for c in cores)
+        return _jn_record(link, n, runs, cores, reflected)
     return None
 
 
@@ -474,7 +479,7 @@ def canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
             return _TWO_BRIDGE
         if _phi_divides(n, _factored(link)):
             return StarStatus(True, PositiveBetti(n))
-    data = _rotation_witness(link, n, _canonical_weight_tuple(link, n))
+    data = _rotation_witness(link, n, *_canonical_runs(link, n))
     if data is not None:
         return StarStatus(True, PSL2R_Rep(data))
     if _phi_divides(n, _factored(link)):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, groupby, repeat
 from typing import Iterable, Optional
 
 from ._record import Record
@@ -38,30 +39,37 @@ __all__ = [
 
 
 class ConeOrbifold(Record):
-    """A 2-sphere with cone points; orders sorted ascending, all >= 2."""
+    """A 2-sphere with cone points, held as (order, count) pairs: orders
+    ascending, all >= 2, each with a count >= 1."""
 
-    cone_orders: tuple[int, ...]
+    counted: tuple[tuple[int, int], ...]
 
-    def __init__(self, cone_orders: tuple[int, ...]) -> None:
+    def __init__(self, counted: tuple[tuple[int, int], ...]) -> None:
         # Direct, not Record.__init__: about a fifth of all records built.
-        object.__setattr__(self, "cone_orders", cone_orders)
+        object.__setattr__(self, "counted", counted)
 
     @staticmethod
     def build(orders: Iterable[int]) -> "ConeOrbifold":
-        """Sort the orders and drop trivial (order 1) cone points."""
+        """Count the orders and drop trivial (order 1) cone points."""
         ordered = sorted(orders)
         if ordered and ordered[0] < 1:
             raise InvalidParameters("cone orders must be positive")
-        return ConeOrbifold(tuple(ordered[ordered.count(1):]))
+        runs = ((a, len(list(run))) for a, run in groupby(ordered) if a > 1)
+        return ConeOrbifold(tuple(runs))
+
+    @property
+    def cone_orders(self) -> tuple[int, ...]:
+        """Every cone order, ascending and repeated by its count."""
+        return tuple(chain.from_iterable(repeat(a, c) for a, c in self.counted))
 
     @property
     def chi(self) -> Fraction:
         """Orbifold Euler characteristic 2 - sum(1 - 1/a)."""
-        return Fraction(*_chi_terms(self.cone_orders))
+        return Fraction(*_chi_terms(self.counted))
 
     @property
     def geometry(self) -> str:
-        numerator = _chi_terms(self.cone_orders)[0]
+        numerator = _chi_terms(self.counted)[0]
         if numerator > 0:
             return "spherical"
         if numerator == 0:
@@ -69,21 +77,22 @@ class ConeOrbifold(Record):
         return "hyperbolic"
 
     def render(self) -> str:
-        if not self.cone_orders:
+        if not self.counted:
             return "S2"
-        return "S2(" + ",".join(str(a) for a in self.cone_orders) + ")"
+        return "S2(" + ",".join(map(str, self.cone_orders)) + ")"
 
     def __str__(self) -> str:
         return self.render()
 
 
-def _chi_terms(cone_orders: tuple[int, ...]) -> tuple[int, int]:
-    """(numerator, L) with chi = numerator / L, summed in integers over the
-    lcm L of the r orders: numerator = (2 - r)L + sum L/a.  L > 0, so the
-    numerator carries the sign of chi."""
-    lcm = math.lcm(*cone_orders)
-    inverses = sum(map(lcm.__floordiv__, cone_orders))
-    return (2 - len(cone_orders)) * lcm + inverses, lcm
+def _chi_terms(counted: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """(N, D) with chi = N / D and D > 0, so N carries the sign of chi:
+    from 2/1, each pair (a, c) subtracts c (1 - 1/a) in integers."""
+    numerator, denominator = 2, 1
+    for a, c in counted:
+        numerator = numerator * a - c * (a - 1) * denominator
+        denominator *= a
+    return numerator, denominator
 
 
 _BAD_LEVEL = "branched-cover index n must be at least 2"
@@ -93,10 +102,10 @@ _NOT_PRIME = "branched-cover analysis applies to prime links only"
 def b_bar(link: SeifertLink, n: int) -> ConeOrbifold:
     """Base orbifold of the n-fold cyclic branched cover.
 
-    The branch copies each contribute a cone of order n, and the two
-    exceptional positions the orders of `_core_orders`.  Those two are
-    placed among the k copies of n by comparison, and an order 1 is
-    dropped, so the orders come out sorted without a sort.
+    The k branch copies give one pair (n, k), and the two exceptional
+    positions the orders of `_core_orders`.  Those two are placed beside
+    the copies by comparison, merged where equal, and an order 1 is
+    dropped, so the pairs come out ascending without a sort.
     """
     if n < 2:
         raise InvalidParameters(_BAD_LEVEL)
@@ -105,15 +114,20 @@ def b_bar(link: SeifertLink, n: int) -> ConeOrbifold:
         raise NotPrime(_NOT_PRIME)
     a, b = _core_orders(view, n)
     low, high = (a, b) if a <= b else (b, a)
-    copies = (n,) * view[2]
-    if low >= n:
-        return ConeOrbifold(copies + (low, high))
-    if high > n:
-        return ConeOrbifold(((low,) if low > 1 else ()) + copies + (high,))
-    # Both orders are at most n, and only they can be a trivial 1.
-    if low > 1:
-        return ConeOrbifold((low, high) + copies)
-    return ConeOrbifold(((high,) if high > 1 else ()) + copies)
+    k = view[2]
+    if high < n:
+        return ConeOrbifold(_pair(low, high) + ((n, k),))
+    if low > n:
+        return ConeOrbifold(((n, k),) + _pair(low, high))
+    # low <= n <= high: a core of order n joins the copies.
+    below, above = ((low, 1),) * (1 < low < n), ((high, 1),) * (high > n)
+    return ConeOrbifold(below + ((n, k + (low == n) + (high == n)),) + above)
+
+
+def _pair(low: int, high: int) -> tuple[tuple[int, int], ...]:
+    """The counted cone points of orders low <= high, order 1 dropped."""
+    pairs = ((low, 2),) if low == high else ((low, 1), (high, 1))
+    return pairs if low > 1 else pairs[1:]
 
 
 class FibreCoverData(Record):

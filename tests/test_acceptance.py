@@ -301,8 +301,8 @@ def test_criterion_08_chi_monotone_with_unique_euclidean_level(grid):
 
 
 def test_chi_matches_the_fraction_sum_on_the_grid(grid):
-    # The orbifold sums chi in integers over the lcm of the cone orders;
-    # `chi_of_cones` is the plain sum of Fractions.
+    # The orbifold folds chi in integers over its (order, count) pairs;
+    # `chi_of_cones` is the plain sum of Fractions over the expanded orders.
     for link in grid:
         if not is_prime(link):
             continue

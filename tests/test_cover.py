@@ -40,7 +40,7 @@ from seifertlinks import (
     jn_lo_sufficient,
     nlo_seifert_invariants,
 )
-from seifertlinks.cover import _rotation_witness
+from seifertlinks.cover import _rotation_witness, _runs
 
 
 # -- cover specifications -----------------------------------------------------
@@ -203,7 +203,8 @@ def test_rotation_witness_matches_the_fraction_ladder(grid):
                 specs.append(CoverSpec(n, tuple(sampled)))
             for weights in specs:
                 expected, reflected = fraction_ladder(link, weights)
-                assert _rotation_witness(link, n, weights.weights) == expected, (link, weights)
+                witness = _rotation_witness(link, n, *_runs(link, weights.weights))
+                assert witness == expected, (link, weights)
                 outcomes.add(None if expected is None else expected.r > 4)
                 reflections += bool(reflected)
     assert outcomes == {None, False, True}

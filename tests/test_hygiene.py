@@ -303,14 +303,17 @@ _VIEW_READERS = (
     ("orbifold.py", "fibre_data"),
     ("orbifold.py", "finite_group"),
     ("cover.py", "_sigma_sums"),
-    ("cover.py", "_angles"),
-    ("cover.py", "_canonical_weight_tuple"),
+    ("cover.py", "_jn_record"),
+    ("cover.py", "_rotation_witness"),
+    ("cover.py", "_canonical_runs"),
+    ("cover.py", "_runs"),
     ("cover.py", "_link_of_weights"),
     ("cover.py", "_require_weighted_core"),
     ("classify.py", "is_ade_up_to_orientation"),
     ("classify.py", "_core_orders"),
     ("classify.py", "_spherical_base"),
-    ("classify.py", "in_P"),
+    ("classify.py", "classification_report"),
+    ("classify.py", "_dynkin"),
     ("link_model.py", "components"),
     ("link_model.py", "reorient_to_P"),
 )

@@ -1,23 +1,27 @@
 """Finiteness and the canonical cover verdict are decided in integers.
 
 `finite_group` reads the sign of the integer numerator of chi, so it
-builds no `Fraction` in `orbifold`; `canonical_star_status` takes the
-canonical weights as a tuple, so it builds no `CoverSpec`.  The tests
-patch each constructor to fail and compare the answers over the prime
-grid links with `repr`s taken before patching.  The rotation witness
-tests sigma*npq of the cover and of its reflection in integers, so the
-angle list is built once per `PSL2R_Rep` verdict and never otherwise.
+builds no `Fraction` in `orbifold`; `canonical_star_status` reads the
+canonical weights off the view as (weight, count) runs, so it builds no
+`CoverSpec`.  The tests patch each constructor to fail and compare the
+answers over the prime grid links with `repr`s taken before patching.
+The rotation witness tests sigma*npq of the cover and of its reflection
+in integers, so the angles are built once per `PSL2R_Rep` verdict and
+never otherwise.
 
-The k equal exponents of Delta are held once with their count, and
-finiteness is read off the view, so the genus, the determinant where
-1 + t divides Delta, cyclotomic divisibility, the finite group, the
-fibre data and the classification report are answered for k = 10^11
-fibre copies, in memory that does not grow with k.
+The k equal exponents of Delta and the k equal cone orders of the
+cover's base are each held once with their count, and finiteness is read
+off the view, so the genus, the determinant where 1 + t divides Delta,
+cyclotomic divisibility, the finite group, the fibre data, the base
+orbifold's chi and geometry and the classification report are answered
+for k = 10^11 fibre copies, in memory that does not grow with k.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +34,7 @@ from seifertlinks import (
     StrictlyLessThanGenus,
     TwoCore,
     ZeroCore,
+    b_bar,
     canonical_star_status,
     canonical_weights,
     classification_report,
@@ -82,14 +87,15 @@ def deciders(link, n):
 
 
 def test_only_the_returned_witness_builds_angles(prime_links, monkeypatch):
+    # `_jn_record` is the one place that builds the angle `Fraction`s.
     built = []
-    angles = cover._angles
+    record = cover._jn_record
 
     def counted(*args):
         built.append(args)
-        return angles(*args)
+        return record(*args)
 
-    monkeypatch.setattr(cover, "_angles", counted)
+    monkeypatch.setattr(cover, "_jn_record", counted)
     witnesses = 0
     for link in prime_links:
         for n in LEVELS:
@@ -103,12 +109,41 @@ def test_only_the_returned_witness_builds_angles(prime_links, monkeypatch):
     assert witnesses > 1000
 
 
+def base_chi(link, n):
+    return b_bar(link, n).chi
+
+
+def base_geometry(link, n):
+    return b_bar(link, n).geometry
+
+
+def base_counted(link, n):
+    return b_bar(link, n).counted
+
+
+def base_cases(link, k, cores):
+    """The base orbifold at n = 2, 3, 7 against its closed form: k cones of
+    order n and the core orders a, b (an order 1 is no cone point), so
+    chi = 1/a + 1/b + k/n - k."""
+    for n in (2, 3, 7):
+        a, b = cores(n)
+        chi = Fraction(1, a) + Fraction(1, b) + Fraction(k, n) - k
+        counts = Counter({n: k})
+        counts.update(order for order in (a, b) if order > 1)
+        sign = (chi > 0) - (chi < 0)
+        geometry = {1: "spherical", 0: "euclidean", -1: "hyperbolic"}[sign]
+        yield link, base_chi, (link, n), chi
+        yield link, base_geometry, (link, n), geometry
+        yield link, base_counted, (link, n), tuple(sorted(counts.items()))
+
+
 def many_copies(k):
     """(link, function, args, closed-form value) of every verdict that
     must not grow with k, on three links with k (odd) fibre copies.
 
     Per link: the genus, whether Phi_n divides Delta for n = 2, 3, 5, 6,
-    the determinant and the fibre data at n = 3."""
+    the determinant, the fibre data at n = 3, and the base orbifold's chi,
+    geometry and counted cone points at n = 2, 3, 7."""
     shapes = [
         # s = 6; Delta = (1 - t)(1 - t^6)^k / ((1 - t^2)(1 - t^3)).
         (ZeroCore(2, 3, k, 1), (5 * k - 3) // 2, (1, 1, 0, 1), 0, (6, 1, 3)),
@@ -118,8 +153,11 @@ def many_copies(k):
         # the determinant is 2^(k + 1), an answer of k bits, and is left out.
         (TwoCore(2, 5, k, 1, -1, -1), k, (0, 1, 0, 0), None, (3, 1, 3)),
     ]
+    # The core orders at index n: q and p, times n at a core.
+    core_orders = [lambda n: (3, 2), lambda n: (3 * n, 2), lambda n: (5 * n, 2 * n)]
     cases = []
-    for link, g, divides, det, fibre in shapes:
+    for (link, g, divides, det, fibre), cores in zip(shapes, core_orders):
+        cases += base_cases(link, k, cores)
         cases.append((link, genus, (link,), g))
         cases += [
             (link, cyclotomic_divides, (n, link), bool(answer))

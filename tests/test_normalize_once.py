@@ -9,10 +9,10 @@ positive reorientation of a link outside P.  The tests count the full
 normalizations, the calls whose argument is not yet flagged, in process
 by wrapping every module binding of `link_model.normalize`.
 
-The cover verdicts and the Alexander invariants go further: each reads
-its link's view through one `normalize` call, flagged or not, and makes
-its checks inline instead of through other public functions.  One test
-counts every call.
+The cover verdicts, the Alexander invariants and the classification
+report go further: each reads its link's view through one `normalize`
+call, flagged or not, and makes its checks inline instead of through
+other public functions.  One test counts every call.
 """
 
 from __future__ import annotations
@@ -189,6 +189,7 @@ ONE_READ = {
     "genus": lambda link, n: genus(link),
     "cyclotomic_divides": lambda link, n: cyclotomic_divides(n, link),
     "canonical_star_status": canonical_star_status,
+    "classification_report": lambda link, n: classification_report(link),
 }
 
 

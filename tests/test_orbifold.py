@@ -32,8 +32,10 @@ from seifertlinks import (
     finite_group,
     is_ade_up_to_orientation,
     is_prime,
+    normalize,
     reorient_to_P,
 )
+from seifertlinks.classify import _spherical_base
 
 
 # -- cone orbifolds ---------------------------------------------------------------
@@ -145,6 +147,32 @@ def test_placed_cone_orders_are_the_sorted_nontrivial_orders(grid):
             if min(cores, default=n) < n < max(cores, default=n):
                 seen.add("copies between")
     assert seen == {"hopf", "trivial", "below", "at", "above", "copies between"}
+
+
+# The first twelve primes from 17 on, for the large indices n = 60p.
+LARGE_PRIMES = (17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+def test_counted_cones_are_ascending_and_agree_with_the_view(grid):
+    # `b_bar` builds its (order, count) pairs without `build`: they must be
+    # the pairs `build` counts from the expanded orders, and the sign of
+    # chi must be the one the view decides without building the base.
+    geometries = set()
+    for link in grid:
+        if not is_prime(link):
+            continue
+        view = normalize(link)._view
+        for n in [*range(2, 61), *(60 * p for p in LARGE_PRIMES)]:
+            base = b_bar(link, n)
+            orders = [order for order, _ in base.counted]
+            assert all(order >= 2 for order in orders), (link, n)
+            assert all(count >= 1 for _, count in base.counted), (link, n)
+            assert all(a < b for a, b in zip(orders, orders[1:])), (link, n)
+            assert ConeOrbifold.build(base.cone_orders) == base, (link, n)
+            spherical = _spherical_base(view, n)
+            assert (base.geometry == "spherical") == spherical, (link, n)
+            geometries.add(base.geometry)
+    assert geometries == {"spherical", "euclidean", "hyperbolic"}
 
 
 def test_composite_links_are_rejected():
