@@ -143,19 +143,36 @@ def _runs(link: SeifertLink, weights: tuple[int, ...]) -> tuple[tuple, tuple[int
 
 class JNData(Record):
     """Rotation-number data of the weighted cover: one angle per cone
-    point of the base, their sum sigma, and the count r."""
+    point of the base, their sum sigma, and the count r.
+
+    A verdict returns it in integers (`_jn_record`): sigma and the angles
+    are each built on their first read and then stored, so a record
+    equals, hashes, prints, copies and pickles as one built with them."""
 
     thetas: tuple[Fraction, ...]
     sigma: Fraction
     r: int
 
-    def __init__(
-        self, thetas: tuple[Fraction, ...], sigma: Fraction, r: int
-    ) -> None:
-        # Direct, not Record.__init__: one per rotation verdict.
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "r", r)
+    def __getattr__(self, name: str) -> Union[Fraction, tuple[Fraction, ...]]:
+        # Called only for a field `_jn_record` left unbuilt; `_cover` holds
+        # the integers (n, p, q, runs, core weights, sigma*npq).
+        if name == "sigma":
+            n, p, q, _, _, total = self._cover
+            value = Fraction(total, n * p * q)
+        elif name == "thetas":
+            n, p, q, runs, (c1, c2), _ = self._cover
+            value = ()
+            for a, c in runs:
+                if c:
+                    value += (Fraction(a, n),) * c
+            if c1 or q > 1:
+                value += (Fraction(c1, n * q) if c1 else Fraction(1, q),)
+            if c2 or p > 1:
+                value += (Fraction(c2, n * p) if c2 else Fraction(1, p),)
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
 
 def jn_data(link: SeifertLink, spec: CoverSpec) -> JNData:
@@ -167,8 +184,8 @@ def jn_data(link: SeifertLink, spec: CoverSpec) -> JNData:
     """
     link = _require_weighted_core(normalize(link), spec)
     runs, cores = _runs(link, spec.weights)
-    total = _sigma_sums(link, spec.n, runs, cores)[1]
-    return _jn_record(link, spec.n, runs, cores, total)
+    r, total, _ = _sigma_sums(link, spec.n, runs, cores)
+    return _jn_record(link, spec.n, runs, cores, r, total)
 
 
 def _sigma_sums(
@@ -197,21 +214,15 @@ def _sigma_sums(
 
 
 def _jn_record(
-    link: SeifertLink, n: int, runs: tuple, cores: tuple[int, int], total: int
+    link: SeifertLink, n: int, runs: tuple, cores: tuple, r: int, total: int
 ) -> JNData:
-    """The record of the cover with these runs and core weights, whose
-    sigma*npq is `total`: one `Fraction` per run, repeated by its count."""
-    p, q = link._view[:2]
-    thetas = ()
-    for a, c in runs:
-        if c:
-            thetas += (Fraction(a, n),) * c
-    c1, c2 = cores
-    if c1 or q > 1:
-        thetas += (Fraction(c1, n * q) if c1 else Fraction(1, q),)
-    if c2 or p > 1:
-        thetas += (Fraction(c2, n * p) if c2 else Fraction(1, p),)
-    return JNData(thetas, Fraction(total, n * p * q), len(thetas))
+    """The record of the cover with these runs and core weights, r angles
+    and sigma*npq `total`, returned in integers: its sigma and angles are
+    built when read."""
+    record = JNData.__new__(JNData)
+    object.__setattr__(record, "r", r)
+    object.__setattr__(record, "_cover", (n, *link._view[:2], runs, cores, total))
+    return record
 
 
 def jn_lo_sufficient(data: JNData) -> bool:
@@ -380,19 +391,19 @@ def _rotation_witness(
     cover with these runs and core weights or else from its reflection;
     None when neither suffices.
 
-    Both sides are tested on the integer sigma*npq of `_sigma_sums`, so
-    no angle and no reflected run is built for a side that fails; the
-    angles, and the reflected runs when the reflection wins, are built
-    once, for the one record returned."""
+    Both sides are tested on the integer sigma*npq of `_sigma_sums`, and
+    the record of the side that wins is returned in integers, so no angle
+    is built here; the reflected runs are built only when the reflection
+    wins."""
     r, total, reflected = _sigma_sums(link, n, runs, cores)
     p, q = link._view[:2]
     common = n * p * q
     if _lo_sufficient(r, total, common):
-        return _jn_record(link, n, runs, cores, total)
+        return _jn_record(link, n, runs, cores, r, total)
     if _lo_sufficient(r, reflected, common):
         runs = tuple((n - a, c) for a, c in runs)
         cores = tuple(c and n - c for c in cores)
-        return _jn_record(link, n, runs, cores, reflected)
+        return _jn_record(link, n, runs, cores, r, reflected)
     return None
 
 

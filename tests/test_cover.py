@@ -1,6 +1,8 @@
 """Branched-cover left-orderability: weighted covers, rotation numbers,
 the non-foliation catalog, and the canonical-cover verdict."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -136,8 +138,17 @@ def test_jn_data_examples():
     assert not jn_lo_sufficient(data)
 
 
+def same_record(record, expected):
+    for candidate in (record, copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert candidate == expected
+        assert hash(candidate) == hash(expected)
+        assert repr(candidate) == repr(expected)
+
+
 def test_sigma_is_the_sum_of_the_thetas(grid):
     # sigma is summed in integers over n*p*q; the angles stay Fractions.
+    # A record is returned in integers and builds sigma and the angles on
+    # their first read, in either order, into the record built from them.
     for link in grid:
         if isinstance(link, HopfSum):
             continue
@@ -147,6 +158,18 @@ def test_sigma_is_the_sum_of_the_thetas(grid):
                 data = jn_data(link, weights)
                 assert data.sigma == sum(data.thetas, start=Fraction(0))
                 assert data.r == len(data.thetas)
+                verdict = general_psi_lo(link, weights)
+                if not isinstance(getattr(verdict, "evidence", None), PSL2R_Rep):
+                    continue
+                data = verdict.evidence.data
+                expected = JNData(data.thetas, data.sigma, data.r)
+                unread = general_psi_lo(link, weights).evidence.data
+                same_record(unread, expected)
+                for first, second in (("sigma", "thetas"), ("thetas", "sigma")):
+                    record = general_psi_lo(link, weights).evidence.data
+                    assert getattr(record, first) == getattr(expected, first)
+                    assert getattr(record, second) == getattr(expected, second)
+                    same_record(record, expected)
 
 
 def test_jn_sufficiency_thresholds():

@@ -2,8 +2,9 @@
 entry that names nothing, no private function that nothing calls, no
 public name with a private twin, no `assert`, no `dataclasses`, no
 unbounded memo, no code outside `link_model.normalize` that sets the
-canonical flag or the Seifert view, and no shape branch in the functions
-that read that view.  The oracles and the expanded reference in `tests/`
+canonical flag or the Seifert view, no shape branch in the functions
+that read that view, and no `Fraction` call in the functions that decide
+a cover verdict.  The oracles and the expanded reference in `tests/`
 take no arithmetic from the package they check.
 
 The checks read the sources with the standard `ast` module, so they see
@@ -332,6 +333,33 @@ def test_view_readers_name_no_core_shape():
                 )
     assert sorted(found) == sorted(_VIEW_READERS)
     assert not any(found.values()), {key: names for key, names in found.items() if names}
+
+
+# The functions that decide the cover verdicts and return the rotation
+# witness: each works in integers, and `JNData` builds sigma and the
+# angles only when they are read.
+_INTEGER_DECIDERS = (
+    "canonical_star_status",
+    "general_psi_lo",
+    "_rotation_witness",
+    "_sigma_sums",
+    "_jn_record",
+)
+
+
+def test_verdicts_call_no_fraction():
+    found = {}
+    for node in ast.walk(_tree(PACKAGE / "cover.py")):
+        if isinstance(node, ast.FunctionDef) and node.name in _INTEGER_DECIDERS:
+            found[node.name] = [
+                call.lineno
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == "Fraction"
+            ]
+    assert sorted(found) == sorted(_INTEGER_DECIDERS)
+    assert not any(found.values()), {name: lines for name, lines in found.items() if lines}
 
 
 def _package_imports(tree: ast.Module) -> list[tuple[str, str, int]]:

@@ -6,15 +6,18 @@ canonical weights off the view as (weight, count) runs, so it builds no
 `CoverSpec`.  The tests patch each constructor to fail and compare the
 answers over the prime grid links with `repr`s taken before patching.
 The rotation witness tests sigma*npq of the cover and of its reflection
-in integers, so the angles are built once per `PSL2R_Rep` verdict and
-never otherwise.
+in integers and returns the winning side's record in integers: one
+record per `PSL2R_Rep` verdict and none otherwise, whose sigma and
+angles are built, once each, only when read.  So no verdict but the
+catalogued non-foliation certificate builds a `Fraction` in `cover`.
 
 The k equal exponents of Delta and the k equal cone orders of the
 cover's base are each held once with their count, and finiteness is read
 off the view, so the genus, the determinant where 1 + t divides Delta,
 cyclotomic divisibility, the finite group, the fibre data, the base
-orbifold's chi and geometry and the classification report are answered
-for k = 10^11 fibre copies, in memory that does not grow with k.
+orbifold's chi and geometry, the classification report and the star
+verdict with its witness's sigma and r are answered for k = 10^11 fibre
+copies, in memory that does not grow with k.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from seifertlinks import (
     ClassificationReport,
     FibreCoverData,
     HopfSum,
+    NoCTF_SeifertObstruction,
     OneCore,
     PSL2R_Rep,
     StrictlyLessThanGenus,
@@ -87,7 +91,7 @@ def deciders(link, n):
 
 
 def test_only_the_returned_witness_builds_angles(prime_links, monkeypatch):
-    # `_jn_record` is the one place that builds the angle `Fraction`s.
+    # `_jn_record` is the one place that builds a witness record.
     built = []
     record = cover._jn_record
 
@@ -106,6 +110,33 @@ def test_only_the_returned_witness_builds_angles(prime_links, monkeypatch):
                 expected = isinstance(evidence, PSL2R_Rep)
                 assert len(built) == expected, (link, n, verdict)
                 witnesses += expected
+    assert witnesses > 1000
+
+
+def test_verdicts_build_no_angle(prime_links, monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(cover, "Fraction", counted)
+    witnesses = 0
+    for link in prime_links:
+        for n in LEVELS:
+            for decide in deciders(link, n):
+                built.clear()
+                verdict = decide()
+                evidence = getattr(verdict, "evidence", None)  # Inconclusive has none
+                if isinstance(evidence, NoCTF_SeifertObstruction):
+                    continue  # the catalog builds its invariants
+                assert not built, (link, n, verdict)
+                if isinstance(evidence, PSL2R_Rep):
+                    thetas = evidence.data.thetas
+                    once = len(built)
+                    assert once and evidence.data.thetas is thetas
+                    assert len(built) == once, (link, n, verdict)
+                    witnesses += 1
     assert witnesses > 1000
 
 
@@ -137,13 +168,20 @@ def base_cases(link, k, cores):
         yield link, base_counted, (link, n), tuple(sorted(counts.items()))
 
 
+def star_witness(link, n):
+    status = canonical_star_status(link, n)
+    data = status.evidence.data
+    return status.verdict, type(status.evidence), data.r, data.sigma
+
+
 def many_copies(k):
     """(link, function, args, closed-form value) of every verdict that
     must not grow with k, on three links with k (odd) fibre copies.
 
     Per link: the genus, whether Phi_n divides Delta for n = 2, 3, 5, 6,
     the determinant, the fibre data at n = 3, and the base orbifold's chi,
-    geometry and counted cone points at n = 2, 3, 7."""
+    geometry and counted cone points at n = 2, 3, 7.  On L(2,3;k,1) also
+    the star verdict at n = 3 with its witness's r and sigma."""
     shapes = [
         # s = 6; Delta = (1 - t)(1 - t^6)^k / ((1 - t^2)(1 - t^3)).
         (ZeroCore(2, 3, k, 1), (5 * k - 3) // 2, (1, 1, 0, 1), 0, (6, 1, 3)),
@@ -183,6 +221,11 @@ def many_copies(k):
             ade_up_to_orientation=False,
         )
         cases.append((link, classification_report, (link,), report))
+    # (k + 1)/2 copies of angle 1/3 and (k - 1)/2 of 2/3, and 1/3 and 1/2
+    # from the exceptional fibres: sigma = (3k + 4)/6 over k + 2 angles.
+    link = shapes[0][0]
+    witness = ("Star", PSL2R_Rep, k + 2, Fraction(3 * k + 4, 6))
+    cases.append((link, star_witness, (link, 3), witness))
     return cases
 
 
