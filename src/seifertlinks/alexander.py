@@ -57,7 +57,7 @@ __all__ = [
 _Factored = tuple[int, tuple[int, int], tuple[int, ...]]
 
 
-def _factored(link: SeifertLink) -> Optional[_Factored]:
+def _factored(link: SeifertLink, view: Optional[tuple] = None) -> Optional[_Factored]:
     """(content, (m, count), denominator exponents) of Delta for a
     canonical link, or None when Delta vanishes identically.
 
@@ -65,10 +65,12 @@ def _factored(link: SeifertLink) -> Optional[_Factored]:
     over the view (p, q, k, w, e1, e2) of `link_model`: with the total
     winding s = w p q + e1 p + e2 q, Delta = (1 - t)(1 - t^|s|)^k /
     prod(1 - t^(|s|/a)) over the positions of multiplicity a not in the
-    link.  s = 0 only for coreless links with w = 0: k = 2 gives p q."""
+    link.  s = 0 only for coreless links with w = 0: k = 2 gives p q.
+    A `view` given in place of the link's own is that of a reorientation,
+    which changes only w and the signs and needs no normalizing."""
     if isinstance(link, HopfSum):
         return 1, (1, link.plus + link.minus - 1), ()
-    p, q, k, w, e1, e2 = link._view
+    p, q, k, w, e1, e2 = view or link._view
     s = abs(w * p * q + e1 * p + e2 * q)
     if s == 0:
         return (p * q, (1, 0), ()) if k == 2 else None

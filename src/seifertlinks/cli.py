@@ -1,13 +1,15 @@
 """Command-line interface: classify links, analyse branched covers, and
 print the reference tables.
 
-Exit codes: 0 success, 2 rejected input (syntax, parameters, unknown
-names), 3 internal error.
+Exit codes: 0 success, 1 standard output closed by its reader before
+the answer was written (as by `| head`), 2 rejected input (syntax,
+parameters, unknown names), 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -30,7 +32,6 @@ from .cover import (
     NoCTF_SeifertObstruction,
     PSL2R_Rep,
     PositiveBetti,
-    _catalogued_invariants,
     canonical_star_status,
     general_psi_lo,
     jn_data,
@@ -55,7 +56,6 @@ from .orbifold import (
     FiniteGroupTag,
     b_bar,
     fibre_data,
-    finite_group,
 )
 
 _CLASSIFY_CITATIONS = (
@@ -378,9 +378,10 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 
     base = b_bar(link, n)
     fibre = fibre_data(link, n)
-    group = finite_group(link, n)
     status = canonical_star_status(link, n)
-    invariants = _catalogued_invariants(link, n)
+    # Only FinitePi1 has a group, only NoCTF_SeifertObstruction invariants.
+    group = getattr(status.evidence, "group", None)
+    invariants = getattr(status.evidence, "invariants", None)
     unwrapped_base = base.cone_orders if fibre.r == n else None
     pi1_text = "infinite" if group is None else f"finite: {group.label}"
     if group is not None and group.group_order is not None:
@@ -489,10 +490,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe fails inside the `try`
+        return code
     except LinkInputError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left early: the null device takes the rest of stdout.
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # no descriptor, as when captured
+            return 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
     except Exception as error:  # noqa: BLE001
         # A MemoryError carries no message: name the class instead.
         message = str(error) or type(error).__name__

@@ -13,8 +13,8 @@ decide whether its fundamental group is left-orderable:
     number or by rotation-number data (left-orderable).
 
 `canonical_star_status` runs the complete decision for the canonical
-cover; `general_psi_lo` gives the one-sided test available for an
-arbitrary weighted cover.
+cover and proves that it decides every one; `general_psi_lo` gives the
+one-sided test available for an arbitrary weighted cover.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import groupby
 from typing import Optional, Union
 
 from ._record import Record
-from .alexander import _factored, _phi_divides, cyclotomic_divides
+from .alexander import _factored, _phi_divides
 from .classify import _spherical_base
 from .errors import (
     InvalidParameters,
@@ -34,7 +34,7 @@ from .errors import (
     NotPrime,
     WeightMismatch,
 )
-from .link_model import HopfSum, OneCore, SeifertLink, ZeroCore, _of_shape, normalize
+from .link_model import HopfSum, SeifertLink, normalize
 from .orbifold import _BAD_LEVEL, FiniteGroupTag, finite_group
 
 __all__ = [
@@ -67,10 +67,6 @@ CATALOG_NONPOSITIVE_CHI = (
 CATALOG_TWO_BRIDGE = (
     "cyclic branched covers in this reoriented family are two-bridge "
     "covers with non-left-orderable fundamental groups"
-)
-CATALOG_HOROFOLIATION = (
-    "left-orderable by the horizontal-foliation catalog for Seifert "
-    "fibred branched covers"
 )
 
 
@@ -277,27 +273,16 @@ def _catalogued_invariants(
     link: SeifertLink, n: int
 ) -> Optional[SeifertInvariants]:
     """The certificate of `nlo_seifert_invariants`, or None where the
-    catalog has none."""
-    if (
-        isinstance(link, ZeroCore)
-        and (link.p, link.q, link.k, link.w) == (1, 1, 3, 1)
-        and n >= 3
-    ):
+    catalog has none; read off the view."""
+    view = link._view
+    if view == (1, 1, 3, 1, 0, 0) and n >= 3:
         third = Fraction(1, n)
         return SeifertInvariants(0, (third, third, -third))
-    if (
-        isinstance(link, OneCore)
-        and (link.p, link.k, link.w, link.sign) == (1, 2, 0, 1)
-        and n >= 3
-    ):
+    if view and view[0] == 1 and view[2:] == (2, 0, 1, 0) and n >= 3:
         return SeifertInvariants(
-            0, (Fraction(-1, n), Fraction(1, n), Fraction(-1, n * link.q))
+            0, (Fraction(-1, n), Fraction(1, n), Fraction(-1, n * view[1]))
         )
-    if (
-        isinstance(link, OneCore)
-        and (link.p, link.q, link.k, link.w, link.sign) == (2, 3, 1, 1, -1)
-        and n == 3
-    ):
+    if view == (2, 3, 1, 1, -1, 0) and n == 3:
         return SeifertInvariants(
             0, (Fraction(1, 3), Fraction(2, 9), Fraction(-3, 2))
         )
@@ -341,7 +326,7 @@ Evidence = Union[
     FinitePi1, NoCTF_SeifertObstruction, PositiveBetti, PSL2R_Rep, Catalog
 ]
 
-_STAR_EVIDENCE = (PositiveBetti, PSL2R_Rep, Catalog)
+_STAR_EVIDENCE = (PositiveBetti, PSL2R_Rep)
 _NOT_STAR_EVIDENCE = (FinitePi1, NoCTF_SeifertObstruction, Catalog)
 
 
@@ -368,18 +353,21 @@ def general_psi_lo(
 
     Tries, in order: the non-positive double-cover Euler characteristic
     catalog, the rotation-number criterion for the cover and for its
-    reflection, and (when the weights describe a canonical cover of a
-    reorientation) the cyclotomic Betti-number witness.
+    reflection, and, when every weight is 1 or n-1, the cyclotomic
+    Betti-number witness of the reorientation whose canonical cover the
+    weights describe: weight 1 keeps a component, n-1 reverses it.
     """
     link = _require_weighted_core(normalize(link), spec)
-    if not _spherical_base(link._view, 2):
+    p, q, k, _, e1, e2 = view = link._view
+    if not _spherical_base(view, 2):
         return _LO_NONPOSITIVE_CHI
     data = _rotation_witness(link, spec.n, *_runs(link, spec.weights))
     if data is not None:
         return LO(PSL2R_Rep(data))
     if all(a in (1, spec.n - 1) for a in spec.weights):
-        reoriented = _link_of_weights(link, spec)
-        if cyclotomic_divides(spec.n, reoriented):
+        signs = [1 if a == 1 else -1 for a in spec.weights]
+        reoriented = (p, q, k, sum(signs[:k]), e1 and signs[k], e2 and signs[-1])
+        if _phi_divides(spec.n, _factored(link, reoriented)):
             return LO(PositiveBetti(spec.n))
     return _INCONCLUSIVE
 
@@ -407,32 +395,13 @@ def _rotation_witness(
     return None
 
 
-def _link_of_weights(link: SeifertLink, spec: CoverSpec) -> SeifertLink:
-    """The reorientation of `link` whose canonical cover `spec` describes.
-
-    Only meaningful when every weight is 1 or n-1: weight 1 keeps the
-    positive orientation of the component, weight n-1 reverses it.  (At
-    n = 2 both coincide and the cover is orientation-independent.)
-    """
-    p, q, k, _, e1, e2 = link._view
-    weights = spec.weights
-    balance = 2 * weights[:k].count(1) - k
-    fresh = _of_shape(
-        p, q, k, balance,
-        (1 if weights[k] == 1 else -1) if e1 else 0,
-        (1 if weights[-1] == 1 else -1) if e2 else 0,
-    )
-    # The canonical cover of the canonical link itself needs no rewriting.
-    return link if fresh == link else normalize(fresh)
-
-
 class StarStatus(Record):
     """Verdict for the canonical n-fold cover, with matching evidence.
 
     `star` is True when the cover's fundamental group is left-orderable.
-    Star verdicts carry PositiveBetti, PSL2R_Rep, or Catalog evidence;
-    NotStar verdicts carry FinitePi1, NoCTF_SeifertObstruction, or
-    Catalog evidence.
+    Star verdicts carry a PositiveBetti or PSL2R_Rep witness; NotStar
+    verdicts carry FinitePi1, NoCTF_SeifertObstruction, or the two-bridge
+    Catalog note.
     """
 
     star: bool
@@ -458,25 +427,50 @@ class StarStatus(Record):
 
 
 _TWO_BRIDGE = StarStatus(False, Catalog(CATALOG_TWO_BRIDGE))
-_HOROFOLIATION = StarStatus(True, Catalog(CATALOG_HOROFOLIATION))
 
 
 def canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
     """Left-orderability verdict for the canonical n-fold branched cover.
 
     Raises NotPrime on composite links.  Links that are ADE up to
-    orientation are decided, in order, by a finite fundamental group, a
-    catalogued non-foliation certificate, the two-bridge catalog and a
-    positive first Betti number.  Every other cover is left-orderable,
-    witnessed by rotation numbers, a positive first Betti number or the
-    horizontal-foliation catalog.
+    orientation are tried, once each, by a finite group, a catalogued
+    non-foliation certificate, the two-bridge catalog, a positive first
+    Betti number and rotation numbers; other links by the last two in
+    the opposite order.
+
+    No cover passes every rung, so the ladder ends in a theorem guard.
+    Proof: let r count the cone points, sigma and sigma' be the angle
+    sums of the cover and of its reflection, and S = sigma + sigma' =
+    k + sum(t), t = 1/a at a core of multiplicity a and 2/a at an
+    unbranched fibre of multiplicity a > 1.  Rotation numbers decide
+    unless r <= 4 and both sums lie in [1, 2] (r = 3) or equal 2 (r = 4).
+
+    - r <= 2: the base is a sphere with at most two cone points at every
+      n, so the link is ADE and the group finite.
+    - r = 4: a cone point adds at most 1 to S, exactly 1 at a copy or an
+      unbranched fibre of multiplicity 2, so S = 4 leaves L(1,1;4,w) and
+      L(1,2;3,w); sigma = 2 then leaves L(1,1;4,0) at every n, and
+      L(1,1;4,2), L(1,1;4,4), L(1,2;3,1) and L(1,2;3,3) at n = 2.  None
+      is ADE, and Phi_n divides Delta for each.
+    - r = 3, n = 2: each angle is 1/(its cone order), so chi = sigma - 1,
+      and no such base is Euclidean: sigma >= 1 makes the link ADE and
+      the group finite.
+    - r = 3, n >= 3: over L(1,1;3,w), L(1,q;2,w) with or without the
+      core, and k = 1 with two exceptional positions, only ADE covers
+      remain.  Finite: L(1,2;2,2) and L(2,5;1,1) at n = 3, L(2,3;1,1) at
+      n = 3, 4, 5.  Certified: L(1,1;3,1), L(1,q;2,0;+), and L(2,3;1,1;-)
+      at n = 3.  Finite or two-bridge: L(1,q;2,0).  Phi_n | Delta:
+      L(1,1;3,3), L(1,3;2,2), L(1,2;2,2;-) and L(3,2;1,1;-) at n = 3,
+      L(1,2;2,2) and L(2,3;1,1;-) at n = 4, L(2,3;1,1) at n = 6.
     """
     if n < 2:
         raise InvalidParameters(_BAD_LEVEL)
     link = normalize(link)
-    if link._view is None:
+    view = link._view
+    if view is None:
         raise NotPrime("star status is defined for prime links only")
-    if _spherical_base(link._view, 2):
+    ade = _spherical_base(view, 2)
+    if ade:
         group = finite_group(link, n)
         if group is not None:
             return StarStatus(False, FinitePi1(group))
@@ -486,13 +480,14 @@ def canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
         invariants = _catalogued_invariants(link, n)
         if invariants is not None:
             return StarStatus(False, NoCTF_SeifertObstruction(invariants))
-        if isinstance(link, ZeroCore) and (link.p, link.k, link.w) == (1, 2, 0):
+        if view[0] == 1 and view[2:] == (2, 0, 0, 0):
             return _TWO_BRIDGE
         if _phi_divides(n, _factored(link)):
             return StarStatus(True, PositiveBetti(n))
     data = _rotation_witness(link, n, *_canonical_runs(link, n))
     if data is not None:
         return StarStatus(True, PSL2R_Rep(data))
-    if _phi_divides(n, _factored(link)):
+    if not ade and _phi_divides(n, _factored(link)):
         return StarStatus(True, PositiveBetti(n))
-    return _HOROFOLIATION
+    # Unreachable by the proof above.
+    raise InvariantViolation(f"no rung decides {link!r} at n={n}")

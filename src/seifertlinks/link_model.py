@@ -364,38 +364,27 @@ class LinkAlias(Record):
 
 
 def alias(link: SeifertLink) -> Optional[LinkAlias]:
-    """The catalogued torus/pretzel name of `link`, if it has one."""
-    link = normalize(link)
-    if isinstance(link, HopfSum):
-        if (link.plus, link.minus) == (1, 0):
-            return LinkAlias("T(2,2)")
+    """The catalogued torus/pretzel name of `link`, if it has one, read
+    off its view."""
+    view = normalize(link)._view
+    if view is None or view[5]:  # a composite Hopf sum, or two cores
         return None
-    if isinstance(link, ZeroCore):
-        if link.w == link.k:
-            a, b = link.k * link.p, link.k * link.q
-            return LinkAlias(f"T({a},{b})")
-        if (link.p, link.k, link.w) == (1, 2, 0):
-            return LinkAlias(f"T(2,{2 * link.q})'")
-        if (link.p, link.q, link.k, link.w) == (1, 1, 3, 1):
-            return LinkAlias("P(-2,2,2)'")
-        return None
-    if isinstance(link, OneCore):
-        p, q, k, w, sign = link.p, link.q, link.k, link.w, link.sign
-        if (p, k, w) == (2, 1, 1):
-            if sign > 0:
-                return LinkAlias(f"P(-2,2,{q})")
-            return LinkAlias(f"P(-2,2,{q})'")
-        if (p, k) == (1, 2) and w == 2:
-            if sign > 0:
-                return LinkAlias(f"P(-2,2,{2 * q})")
-            return LinkAlias(f"P(-2,2,{2 * q})''")
+    p, q, k, w, e, _ = view
+    if not e:
+        if w == k:
+            return LinkAlias(f"T({k * p},{k * q})")
         if (p, k, w) == (1, 2, 0):
-            return LinkAlias(f"P(-2,2,{2 * q})'")
-        if (p, q, k, w) == (3, 2, 1, 1):
-            if sign > 0:
-                return LinkAlias("P(-2,3,4)")
-            return LinkAlias("P(-2,3,4)'")
-        return None
+            return LinkAlias(f"T(2,{2 * q})'")
+        return LinkAlias("P(-2,2,2)'") if view[:4] == (1, 1, 3, 1) else None
+    prime = "'" if e < 0 else ""
+    if (p, k, w) == (2, 1, 1):
+        return LinkAlias(f"P(-2,2,{q}){prime}")
+    if (p, k, w) == (1, 2, 2):
+        return LinkAlias(f"P(-2,2,{2 * q}){2 * prime}")
+    if (p, k, w) == (1, 2, 0):
+        return LinkAlias(f"P(-2,2,{2 * q})'")
+    if (p, q, k, w) == (3, 2, 1, 1):
+        return LinkAlias(f"P(-2,3,4){prime}")
     return None
 
 

@@ -2,17 +2,27 @@
 JSON payloads, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from argparse import Namespace
+from pathlib import Path
 
 import pytest
 
+import seifertlinks
 from seifertlinks import (
     HopfSum,
     LinkSyntaxError,
+    NotInCatalog,
     OneCore,
     TwoCore,
     UnknownAlias,
     ZeroCore,
+    finite_group,
+    is_prime,
+    nlo_seifert_invariants,
     render,
 )
 from seifertlinks.cli import main, parse_link
@@ -190,6 +200,31 @@ def test_cover_json_noctf_case(capsys):
         ],
     }
     assert payload["pi1_finite"] is False and payload["finite_group"] is None
+
+
+def test_cover_json_reads_group_and_invariants_off_the_verdict(grid, monkeypatch):
+    # The command takes the group and the certificate from the verdict's
+    # evidence; they must be what the two public lookups return.  The
+    # `--json` object is caught before encoding, and the command is called
+    # without the parser, to keep the sweep fast.
+    import seifertlinks.cli as cli
+
+    payloads = []
+    monkeypatch.setattr(
+        cli, "_emit", lambda record, as_json: payloads.append(cli._json_object(record))
+    )
+    for link in grid:
+        if not is_prime(link):
+            continue
+        for n in range(2, 13):
+            cli._cmd_cover(Namespace(link=render(link), n=n, weights=None, json=True))
+            payload = payloads.pop()
+            try:
+                invariants = nlo_seifert_invariants(link, n)
+            except NotInCatalog:
+                invariants = None
+            assert payload["finite_group"] == finite_group(link, n), (link, n)
+            assert payload["seifert_invariants"] == invariants, (link, n)
 
 
 def test_cover_json_star_case(capsys):
@@ -414,6 +449,40 @@ def test_infinite_ade_double_cover_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cover, "finite_group", lambda link, n: None)
     assert main(["cover", "T(2,3)", "--n", "2"]) == 3
     assert capsys.readouterr().err.startswith("internal error: infinite group")
+
+
+def test_closed_stdout_exits_1_without_a_message():
+    # As `| head -c 10` does: the reader closes the pipe while the long
+    # Alexander polynomial is still being written.
+    env = {**os.environ, "PYTHONPATH": str(Path(seifertlinks.__file__).parent.parent)}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "seifertlinks", "classify", "L(101,103;3,3)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 1
+    finally:
+        child.kill()
+        child.wait()
+        child.stderr.close()
+    assert err == b""
+
+
+def test_closed_captured_stdout_exits_1(capsys, monkeypatch):
+    # With no descriptor behind stdout there is nothing to redirect.
+    import seifertlinks.cli as cli
+
+    def closed(link):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "classification_report", closed)
+    assert main(["classify", "T(2,3)"]) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_subcommand_is_usage_error():

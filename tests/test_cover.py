@@ -4,10 +4,13 @@ the non-foliation catalog, and the canonical-cover verdict."""
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from conftest import canonical_grid
 from seifertlinks import (
     Catalog,
     CoverSpec,
@@ -34,15 +37,19 @@ from seifertlinks import (
     b_bar,
     canonical_star_status,
     canonical_weights,
+    components,
+    cyclotomic_divides,
     fibre_data,
     finite_group,
     general_psi_lo,
+    is_ade_up_to_orientation,
     is_prime,
     jn_data,
     jn_lo_sufficient,
     nlo_seifert_invariants,
+    render,
 )
-from seifertlinks.cover import _rotation_witness, _runs
+from seifertlinks.cover import _canonical_runs, _rotation_witness, _runs
 
 
 # -- cover specifications -----------------------------------------------------
@@ -284,6 +291,7 @@ def test_nlo_invariants_normalize_first():
         (ZeroCore(1, 1, 3, 1), 2),
         (OneCore(1, 2, 2, 0, 1), 2),
         (TwoCore(2, 3, 2, 0, 1, -1), 3),
+        (HopfSum(2, 1), 3),
     ],
 )
 def test_nlo_invariants_outside_catalog(link, n):
@@ -330,6 +338,36 @@ def test_psi_verdict_stable_under_reflection(grid):
         direct = general_psi_lo(link, spec)
         mirrored = general_psi_lo(link, spec.reflected())
         assert isinstance(direct, LO) is isinstance(mirrored, LO), link
+
+
+def test_psi_betti_rung_agrees_with_the_reoriented_link(grid):
+    # Weights of 1 and n - 1 describe the canonical cover of the
+    # reorientation that keeps the components of weight 1 and reverses
+    # the others.  Where rotation numbers fail, the verdict is Betti
+    # exactly when Phi_n divides the Delta of that link, built here.
+    seen = set()
+    for link in grid:
+        if isinstance(link, HopfSum) or not is_ade_up_to_orientation(link):
+            continue
+        k = link.k
+        for n in range(2, 13):
+            for weights in product(sorted({1, n - 1}), repeat=components(link)):
+                outcome = general_psi_lo(link, CoverSpec(n, weights))
+                if isinstance(getattr(outcome, "evidence", None), PSL2R_Rep):
+                    continue
+                signs = [1 if a == 1 else -1 for a in weights]
+                w = sum(signs[:k])
+                if isinstance(link, ZeroCore):
+                    reoriented = ZeroCore(link.p, link.q, k, w)
+                elif isinstance(link, OneCore):
+                    reoriented = OneCore(link.p, link.q, k, w, signs[k])
+                else:
+                    reoriented = TwoCore(link.p, link.q, k, w, *signs[k:])
+                betti = cyclotomic_divides(n, reoriented)
+                expected = LO(PositiveBetti(n)) if betti else Inconclusive()
+                assert outcome == expected, (link, weights)
+                seen.add(betti)
+    assert seen == {False, True}
 
 
 def test_psi_rejects_hopf_sums():
@@ -406,6 +444,77 @@ def test_infinite_double_cover_of_an_ade_link_is_a_broken_invariant(
         canonical_star_status(ZeroCore(2, 3, 1, 1), 2)
 
 
+def test_a_cover_past_every_rung_is_a_broken_invariant(monkeypatch):
+    # L(2,3;2,2) at n = 5 has r = 4, sigma = 31/30 and no Betti number:
+    # with the r = 4 criterion switched off nothing decides it, and the
+    # theorem guard must say so rather than return a verdict.
+    import seifertlinks.cover as cover
+
+    criterion = cover._lo_sufficient
+    monkeypatch.setattr(
+        cover, "_lo_sufficient", lambda r, *sums: r != 4 and criterion(r, *sums)
+    )
+    with pytest.raises(InvariantViolation, match="no rung decides"):
+        canonical_star_status(ZeroCore(2, 3, 2, 2), 5)
+
+
+# The covers with r = 3 or 4 cone points and no rotation witness, by the
+# rung that decides them, as the `canonical_star_status` proof lists
+# them (n >= 3; at n = 2, r = 3 is finite and r = 4 is in BETTI_AT_TWO).
+BETTI_AT_TWO = {"L(1,1;4,2)", "L(1,1;4,4)", "L(1,2;3,1)", "L(1,2;3,3)"}
+TAIL = {
+    **{(name, 3): FinitePi1 for name in ("L(1,2;2,2)", "L(2,5;1,1)")},
+    **{("L(2,3;1,1)", n): FinitePi1 for n in (3, 4, 5)},
+    ("L(2,3;1,1;-)", 3): NoCTF_SeifertObstruction,
+    **{
+        (name, 3): PositiveBetti
+        for name in ("L(1,1;3,3)", "L(1,3;2,2)", "L(1,2;2,2;-)", "L(3,2;1,1;-)")
+    },
+    **{(name, 4): PositiveBetti for name in ("L(1,2;2,2)", "L(2,3;1,1;-)")},
+    ("L(2,3;1,1)", 6): PositiveBetti,
+}
+
+
+def tail_rung(link, n):
+    """The evidence kind the proof names for a cover of `link` at n with
+    r in {3, 4} and no rotation witness, or None where it names none."""
+    name = render(link)
+    if name == "L(1,1;4,0)" or (n == 2 and name in BETTI_AT_TWO):
+        return PositiveBetti
+    if n == 2:
+        r = jn_data(link, canonical_weights(link, 2)).r
+        return FinitePi1 if r == 3 else None
+    if name == "L(1,1;3,1)" or re.fullmatch(r"L\(1,\d+;2,0;\+\)", name):
+        return NoCTF_SeifertObstruction
+    if re.fullmatch(r"L\(1,\d+;2,0\)", name):
+        return FinitePi1 if finite_group(link, n) else Catalog
+    return TAIL.get((name, n))
+
+
+def test_every_cover_without_a_rotation_witness_meets_its_named_rung():
+    # No verdict in the box reaches the theorem guard, and each r = 3 or 4
+    # cover that rotation numbers leave open is decided by the rung the
+    # proof names for it.
+    named = set()
+    for link in canonical_grid(max_pq=12, max_k=4):
+        if not is_prime(link):
+            continue
+        for n in range(2, 31):
+            status = canonical_star_status(link, n)
+            if isinstance(link, HopfSum):
+                continue
+            runs = _canonical_runs(link, n)
+            if _rotation_witness(link, n, *runs) is not None:
+                continue
+            r = jn_data(link, canonical_weights(link, n)).r
+            if r in (3, 4):
+                kind = tail_rung(link, n)
+                assert kind and isinstance(status.evidence, kind), (link, n, status)
+                named.add((render(link), n))
+    assert set(TAIL) | {(name, 2) for name in BETTI_AT_TWO} <= named
+    assert ("L(1,1;4,0)", 30) in named
+
+
 def test_star_status_rejections():
     with pytest.raises(NotPrime):
         canonical_star_status(HopfSum(2, 0), 3)
@@ -416,7 +525,7 @@ def test_star_status_rejections():
 
 
 def test_evidence_kind_matches_verdict(grid):
-    star_kinds = (PositiveBetti, PSL2R_Rep, Catalog)
+    star_kinds = (PositiveBetti, PSL2R_Rep)
     not_star_kinds = (FinitePi1, NoCTF_SeifertObstruction, Catalog)
     for link in grid:
         if not is_prime(link):

@@ -308,7 +308,9 @@ _VIEW_READERS = (
     ("cover.py", "_rotation_witness"),
     ("cover.py", "_canonical_runs"),
     ("cover.py", "_runs"),
-    ("cover.py", "_link_of_weights"),
+    ("cover.py", "general_psi_lo"),
+    ("cover.py", "canonical_star_status"),
+    ("cover.py", "_catalogued_invariants"),
     ("cover.py", "_require_weighted_core"),
     ("classify.py", "is_ade_up_to_orientation"),
     ("classify.py", "_core_orders"),
@@ -316,6 +318,7 @@ _VIEW_READERS = (
     ("classify.py", "classification_report"),
     ("classify.py", "_dynkin"),
     ("link_model.py", "components"),
+    ("link_model.py", "alias"),
     ("link_model.py", "reorient_to_P"),
 )
 

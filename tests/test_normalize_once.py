@@ -18,17 +18,19 @@ other public functions.  One test counts every call.
 from __future__ import annotations
 
 import sys
+from itertools import product
 
 import pytest
 
 from seifertlinks import (
     TABLE_NAMES,
+    CoverSpec,
     HopfSum,
+    PSL2R_Rep,
     b_bar,
     canonical_star_status,
-    canonical_weights,
     classification_report,
-    cover,
+    components,
     cyclotomic_divides,
     fibre_data,
     general_psi_lo,
@@ -142,32 +144,20 @@ def test_no_call_renormalizes_a_canonical_link(grid, normalize_calls):
             assert not renormalized(normalize_calls), (link, n)
 
 
-def test_psi_at_canonical_weights_rebuilds_no_link(grid, normalize_calls, monkeypatch):
-    # At the Betti rung `general_psi_lo` rebuilds the link its weights
-    # describe.  At the canonical weights that is the link itself, except
-    # at n = 2 outside P, where 1 = n - 1 and the weights describe the
-    # positive reorientation.
-    betti_tests = []
-    divides = cover.cyclotomic_divides
-
-    def counted(n, link):
-        betti_tests.append(link)
-        return divides(n, link)
-
-    monkeypatch.setattr(cover, "cyclotomic_divides", counted)
+def test_psi_at_reoriented_weights_normalizes_nothing(grid, normalize_calls):
+    # The Betti rung reads the reorientation that weights of 1 and n - 1
+    # describe off the view, so no link is built or normalized.  Links not
+    # ADE up to orientation stop at the Euler characteristic catalog.
     reached = 0
     for link in grid:
-        if isinstance(link, HopfSum) or not is_prime(link):
+        if isinstance(link, HopfSum) or not is_ade_up_to_orientation(link):
             continue
-        for n in range(2 if in_P(link) else 3, 8):
-            spec = canonical_weights(link, n)
-            betti_tests.clear()
-            normalize_calls.clear()
-            general_psi_lo(link, spec)
-            assert not normalize_calls, (link, n)
-            if betti_tests:
-                assert betti_tests == [link], (link, n)
-                reached += 1
+        for n in range(2, 8):
+            for weights in product(sorted({1, n - 1}), repeat=components(link)):
+                normalize_calls.clear()
+                outcome = general_psi_lo(link, CoverSpec(n, weights))
+                assert not normalize_calls, (link, weights)
+                reached += not isinstance(getattr(outcome, "evidence", None), PSL2R_Rep)
     assert reached > 50
 
 
