@@ -9,6 +9,7 @@ parameters, unknown names), 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -153,9 +154,11 @@ def _parse_core(scanner: _Scanner) -> SeifertLink:
 
 def _parse_hopf(scanner: _Scanner) -> SeifertLink:
     plus = minus = 0
+    negative = False
     while True:
         scanner.expect("#")
         count = scanner.integer()
+        negative = negative or count < 0
         scanner.expect("H")
         if scanner.sign() > 0:
             plus += count
@@ -164,6 +167,10 @@ def _parse_hopf(scanner: _Scanner) -> SeifertLink:
         if scanner.peek() != "#":
             break
     scanner.end()
+    # Checked per summand, since a total can hide a negative count
+    # (`#2H+ #-1H+`); `normalize` checks only the totals.
+    if negative:
+        raise InvalidParameters("Hopf summand counts must be non-negative")
     return HopfSum(plus, minus)
 
 
@@ -449,6 +456,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+# Built once per process: building takes about ten times as long as a
+# parse, and a parser keeps no state between `parse_args` calls.
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seifertlinks",
@@ -487,8 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe fails inside the `try`

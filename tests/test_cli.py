@@ -346,6 +346,8 @@ def test_canonical_status_table_shape(capsys):
         ["cover", "T(2,3)", "--n", "11", "--weights", "1_0"],
         ["cover", "T(2,3)", "--n", "11", "--weights", "\uff15"],
         ["cover", "T(2,3)", "--n", "11", "--weights", " 5"],
+        # A negative summand count, hidden in a total that is not negative
+        ["classify", "#2H+#-1H+"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):
@@ -353,6 +355,15 @@ def test_rejected_input_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", ["#-1H+", "#1H+ #-1H- #1H-"])
+def test_negative_hopf_count_is_rejected_per_summand(capsys, text):
+    # One message, whether the totals show the negative count or hide it.
+    assert main(["classify", text]) == 2
+    assert capsys.readouterr().err == (
+        "error: Hopf summand counts must be non-negative\n"
+    )
 
 
 @pytest.mark.parametrize("n", ["abc", "\uff15", "\u00b3", "1_0", " 5", "5 ", "+-5"])
@@ -488,3 +499,80 @@ def test_closed_captured_stdout_exits_1(capsys, monkeypatch):
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_main_calls_share_one_parser(capsys):
+    import seifertlinks.cli as cli
+
+    parser = cli._build_parser()
+    built = cli._build_parser.cache_info().misses
+    argv = ["cover", "T(2,3)", "--n", "7"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert cli._build_parser() is parser
+    assert cli._build_parser.cache_info().misses == built
+    assert outputs[0] == outputs[1]
+
+
+def test_in_process_main_leaves_the_heap_unfrozen(capsys):
+    # Only `python -m seifertlinks` freezes the heap, on its way out.
+    import gc
+
+    frozen = gc.get_freeze_count()
+    assert main(["classify", "T(2,3)"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+# -- the module entry point -----------------------------------------------------
+#
+# One interpreter per case: `__main__` raises `SystemExit` and freezes the
+# heap, which only a process of its own may do.
+
+
+def run_module(argv, code=None):
+    """Run `python -m seifertlinks ARGV`, or `python -c CODE` with ARGV as
+    its arguments, in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(seifertlinks.__file__).parent.parent)}
+    head = ["-m", "seifertlinks"] if code is None else ["-c", code]
+    return subprocess.run(
+        [sys.executable, *head, *argv],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+
+
+def test_module_exit_runs_atexit_handlers():
+    # The exit path stays the normal one: a shortcut such as `os._exit`
+    # would skip `atexit`, and with it the reports of coverage and profilers.
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write('atexit ran\\n'))\n"
+        "runpy.run_module('seifertlinks', run_name='__main__', alter_sys=True)\n"
+    )
+    result = run_module(["classify", "T(2,3)"], code)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == b"atexit ran\n"
+    assert result.stdout.startswith(b"link ")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["cover", "T(2,3)", "--n", "abc"], 2)],
+)
+def test_module_exit_codes_of_argparse(argv, code):
+    result = run_module(argv)
+    assert result.returncode == code, result.stderr
+    assert (result.stdout if code == 0 else result.stderr).startswith(b"usage: ")
+
+
+def test_module_output_matches_in_process_main(capsys):
+    argv = ["cover", "T(2,3)", "--n", "7", "--json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    result = run_module(argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == expected
