@@ -1,173 +1,17 @@
 """Exact invariants and cyclic branched-cover analysis for Seifert links."""
 
-from .alexander import cyclotomic_divides, delta, determinant, genus
-from .classify import (
-    ClassificationReport,
-    DynkinType,
-    FourGenus,
-    Known,
-    StrictlyLessThanGenus,
-    ade_link,
-    classification_report,
-    g4_status,
-    in_P,
-    is_ade,
-    is_ade_up_to_orientation,
-    is_braid_positive,
-    is_definite,
-    is_fibred,
-    is_genus_zero,
-    is_prime,
-    is_sqp,
-)
-from .cover import (
-    Catalog,
-    CoverSpec,
-    Evidence,
-    FinitePi1,
-    Inconclusive,
-    JNData,
-    LO,
-    NoCTF_SeifertObstruction,
-    PSL2R_Rep,
-    PositiveBetti,
-    SeifertInvariants,
-    StarStatus,
-    canonical_star_status,
-    canonical_weights,
-    general_psi_lo,
-    jn_data,
-    jn_lo_sufficient,
-    nlo_seifert_invariants,
-)
-from .errors import (
-    InvalidParameters,
-    InvariantViolation,
-    LinkInputError,
-    LinkSyntaxError,
-    NotCoprime,
-    NotCore,
-    NotInCatalog,
-    NotPrime,
-    UnknotInput,
-    UnknownAlias,
-    UnknownTable,
-    WeightMismatch,
-    ZeroPolynomial,
-)
-from .laurent import LaurentPoly
-from .link_model import (
-    HopfSum,
-    LinkAlias,
-    OneCore,
-    SeifertLink,
-    TwoCore,
-    ZeroCore,
-    alias,
-    alias_to_link,
-    components,
-    is_canonical,
-    normalize,
-    render,
-    reorient_to_P,
-)
-from .orbifold import (
-    BinaryDihedral,
-    BinaryIcosahedral,
-    BinaryOctahedral,
-    BinaryTetrahedral,
-    ConeOrbifold,
-    Cyclic,
-    FibreCoverData,
-    FiniteGroupTag,
-    FiniteUnidentified,
-    b_bar,
-    fibre_data,
-    finite_group,
-)
-from .tables import TABLE_NAMES, build_table
+from . import alexander, classify, cover, errors, laurent, link_model, orbifold, tables
+from .alexander import *
+from .classify import *
+from .cover import *
+from .errors import *
+from .laurent import *
+from .link_model import *
+from .orbifold import *
+from .tables import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryDihedral",
-    "BinaryIcosahedral",
-    "BinaryOctahedral",
-    "BinaryTetrahedral",
-    "Catalog",
-    "ClassificationReport",
-    "ConeOrbifold",
-    "CoverSpec",
-    "Cyclic",
-    "DynkinType",
-    "Evidence",
-    "FibreCoverData",
-    "FinitePi1",
-    "FiniteGroupTag",
-    "FiniteUnidentified",
-    "FourGenus",
-    "HopfSum",
-    "Inconclusive",
-    "InvalidParameters",
-    "InvariantViolation",
-    "JNData",
-    "Known",
-    "LO",
-    "LaurentPoly",
-    "LinkAlias",
-    "LinkInputError",
-    "LinkSyntaxError",
-    "NoCTF_SeifertObstruction",
-    "NotCoprime",
-    "NotCore",
-    "NotInCatalog",
-    "NotPrime",
-    "OneCore",
-    "PSL2R_Rep",
-    "PositiveBetti",
-    "SeifertInvariants",
-    "SeifertLink",
-    "StarStatus",
-    "StrictlyLessThanGenus",
-    "TABLE_NAMES",
-    "TwoCore",
-    "UnknotInput",
-    "UnknownAlias",
-    "UnknownTable",
-    "WeightMismatch",
-    "ZeroCore",
-    "ZeroPolynomial",
-    "ade_link",
-    "alias",
-    "alias_to_link",
-    "b_bar",
-    "build_table",
-    "canonical_star_status",
-    "canonical_weights",
-    "classification_report",
-    "components",
-    "cyclotomic_divides",
-    "delta",
-    "determinant",
-    "fibre_data",
-    "finite_group",
-    "g4_status",
-    "general_psi_lo",
-    "genus",
-    "in_P",
-    "is_ade",
-    "is_ade_up_to_orientation",
-    "is_braid_positive",
-    "is_canonical",
-    "is_definite",
-    "is_fibred",
-    "is_genus_zero",
-    "is_prime",
-    "is_sqp",
-    "jn_data",
-    "jn_lo_sufficient",
-    "nlo_seifert_invariants",
-    "normalize",
-    "render",
-    "reorient_to_P",
-]
+# Each module's `__all__` is the one list of its public names.
+_MODULES = (alexander, classify, cover, errors, laurent, link_model, orbifold, tables)
+__all__ = sorted(name for module in _MODULES for name in module.__all__)

@@ -16,10 +16,10 @@ real dict, and every later attribute read gets several times slower.
 names; only a keyword call or a wrong argument count goes through
 `_arrange`, which checks the arguments.  A hot record defines a direct
 `__init__` that stores its fields the same way: `ConeOrbifold`, and
-`StarStatus`, which is built once per star verdict and calls its
-`__post_init__` check itself.  A rotation verdict returns its `JNData`
-witness in integers: the record stores its sigma and angles on their
-first read, through `__getattr__`.
+`StarStatus`, which is built once per star verdict and stores only its
+evidence.  A rotation verdict returns its `JNData` witness in integers:
+the record stores its sigma and angles on their first read, through
+`__getattr__`.
 """
 
 from __future__ import annotations

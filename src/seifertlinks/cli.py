@@ -251,7 +251,7 @@ def _text(value: Any) -> str:
     if isinstance(value, NoCTF_SeifertObstruction):
         return (
             "no co-oriented taut foliation; Seifert invariants "
-            f"{value.invariants.render()}"
+            f"{value.invariants}"
         )
     if isinstance(value, PositiveBetti):
         return f"positive first Betti number at level {value.n}"
@@ -519,6 +519,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"internal error: {message}", file=sys.stderr)
         return 3
 
-
-if __name__ == "__main__":
-    sys.exit(main())

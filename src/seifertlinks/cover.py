@@ -242,12 +242,9 @@ class SeifertInvariants(Record):
     e0: int
     coefficients: tuple[Fraction, ...]
 
-    def render(self) -> str:
+    def __str__(self) -> str:
         parts = ", ".join(str(c) for c in self.coefficients)
         return f"({self.e0}; {parts})"
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def nlo_seifert_invariants(link: SeifertLink, n: int) -> SeifertInvariants:
@@ -326,9 +323,6 @@ Evidence = Union[
     FinitePi1, NoCTF_SeifertObstruction, PositiveBetti, PSL2R_Rep, Catalog
 ]
 
-_STAR_EVIDENCE = (PositiveBetti, PSL2R_Rep)
-_NOT_STAR_EVIDENCE = (FinitePi1, NoCTF_SeifertObstruction, Catalog)
-
 
 class LO(Record):
     """Left-orderability established, with its witness."""
@@ -396,37 +390,30 @@ def _rotation_witness(
 
 
 class StarStatus(Record):
-    """Verdict for the canonical n-fold cover, with matching evidence.
+    """Verdict for the canonical n-fold cover, read off its evidence.
 
-    `star` is True when the cover's fundamental group is left-orderable.
-    Star verdicts carry a PositiveBetti or PSL2R_Rep witness; NotStar
-    verdicts carry FinitePi1, NoCTF_SeifertObstruction, or the two-bridge
-    Catalog note.
+    `star` is True when the cover's fundamental group is left-orderable:
+    exactly when the evidence is a PositiveBetti or PSL2R_Rep witness.
+    FinitePi1, NoCTF_SeifertObstruction and the two-bridge Catalog note
+    mean NotStar.
     """
 
-    star: bool
     evidence: Evidence
 
-    def __init__(self, star: bool, evidence: Evidence) -> None:
+    def __init__(self, evidence: Evidence) -> None:
         # Direct, not Record.__init__: one per star verdict.
-        object.__setattr__(self, "star", star)
         object.__setattr__(self, "evidence", evidence)
-        self.__post_init__()
 
-    def __post_init__(self) -> None:
-        allowed = _STAR_EVIDENCE if self.star else _NOT_STAR_EVIDENCE
-        if not isinstance(self.evidence, allowed):
-            raise ValueError(
-                f"{type(self.evidence).__name__} cannot support "
-                f"verdict {self.verdict}"
-            )
+    @property
+    def star(self) -> bool:
+        return isinstance(self.evidence, (PositiveBetti, PSL2R_Rep))
 
     @property
     def verdict(self) -> str:
         return "Star" if self.star else "NotStar"
 
 
-_TWO_BRIDGE = StarStatus(False, Catalog(CATALOG_TWO_BRIDGE))
+_TWO_BRIDGE = StarStatus(Catalog(CATALOG_TWO_BRIDGE))
 
 
 def canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
@@ -473,21 +460,21 @@ def canonical_star_status(link: SeifertLink, n: int) -> StarStatus:
     if ade:
         group = finite_group(link, n)
         if group is not None:
-            return StarStatus(False, FinitePi1(group))
+            return StarStatus(FinitePi1(group))
         if n == 2:
             # The double cover of an ADE link is spherical.
             raise InvariantViolation(f"infinite group for {link!r} at n=2")
         invariants = _catalogued_invariants(link, n)
         if invariants is not None:
-            return StarStatus(False, NoCTF_SeifertObstruction(invariants))
+            return StarStatus(NoCTF_SeifertObstruction(invariants))
         if view[0] == 1 and view[2:] == (2, 0, 0, 0):
             return _TWO_BRIDGE
         if _phi_divides(n, _factored(link)):
-            return StarStatus(True, PositiveBetti(n))
+            return StarStatus(PositiveBetti(n))
     data = _rotation_witness(link, n, *_canonical_runs(link, n))
     if data is not None:
-        return StarStatus(True, PSL2R_Rep(data))
+        return StarStatus(PSL2R_Rep(data))
     if not ade and _phi_divides(n, _factored(link)):
-        return StarStatus(True, PositiveBetti(n))
+        return StarStatus(PositiveBetti(n))
     # Unreachable by the proof above.
     raise InvariantViolation(f"no rung decides {link!r} at n={n}")

@@ -7,6 +7,22 @@ and anything else to an internal-error code.
 
 from __future__ import annotations
 
+__all__ = [
+    "LinkInputError",
+    "NotCoprime",
+    "InvalidParameters",
+    "UnknotInput",
+    "NotPrime",
+    "NotCore",
+    "NotInCatalog",
+    "UnknownAlias",
+    "UnknownTable",
+    "WeightMismatch",
+    "LinkSyntaxError",
+    "InvariantViolation",
+    "ZeroPolynomial",
+]
+
 
 class LinkInputError(ValueError):
     """Base class for every rejection of caller-supplied data."""

@@ -42,12 +42,12 @@ class LaurentPoly(Record):
             raise ZeroPolynomial("the zero polynomial has no highest term")
         return self.terms[-1][0] - self.terms[0][0]
 
-    def to_text(self) -> str:
+    def __str__(self) -> str:
         """Sparse human-readable form, ascending exponents.
 
-        >>> LaurentPoly(((0, 1), (3, -1), (7, 2))).to_text()
+        >>> str(LaurentPoly(((0, 1), (3, -1), (7, 2))))
         '1 - t^3 + 2t^7'
-        >>> LaurentPoly(()).to_text()
+        >>> str(LaurentPoly(()))
         '0'
         """
         if self.is_zero:
@@ -65,6 +65,3 @@ class LaurentPoly(Record):
             else:
                 chunks.append(f"+ {body}" if coef > 0 else f"- {body}")
         return " ".join(chunks)
-
-    def __str__(self) -> str:
-        return self.to_text()

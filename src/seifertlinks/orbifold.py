@@ -76,13 +76,10 @@ class ConeOrbifold(Record):
             return "euclidean"
         return "hyperbolic"
 
-    def render(self) -> str:
+    def __str__(self) -> str:
         if not self.counted:
             return "S2"
         return "S2(" + ",".join(map(str, self.cone_orders)) + ")"
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def _chi_terms(counted: tuple[tuple[int, int], ...]) -> tuple[int, int]:
@@ -192,7 +189,7 @@ def BinaryIcosahedral() -> FiniteGroupTag:
 
 def FiniteUnidentified(orbifold: ConeOrbifold) -> FiniteGroupTag:
     return FiniteGroupTag(
-        f"finite central extension over {orbifold.render()}", None, None
+        f"finite central extension over {orbifold}", None, None
     )
 
 

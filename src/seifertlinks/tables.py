@@ -96,7 +96,7 @@ def _family_row(
         Row("n", n, "n"),
         Row("family", family, "family"),
         Row("instances", instances),
-        Row("base", base.cone_orders, "base", base.render()),
+        Row("base", base.cone_orders, "base", str(base)),
         Row("reoriented", reoriented, "reoriented"),
     ], reoriented
 

@@ -378,14 +378,26 @@ def test_psi_rejects_hopf_sums():
 # -- canonical-cover verdicts ---------------------------------------------------
 
 
-def test_star_status_validation():
-    status = canonical_star_status(ZeroCore(2, 3, 1, 1), 6)
-    assert status.verdict == "Star"
-    assert canonical_star_status(ZeroCore(2, 3, 1, 1), 5).verdict == "NotStar"
-    with pytest.raises(ValueError):
-        StarStatus(True, FinitePi1(None))
-    with pytest.raises(ValueError):
-        StarStatus(False, PositiveBetti(3))
+def test_star_status_follows_its_evidence():
+    # The verdict is read off the evidence class, so no record can pair
+    # a verdict with evidence for the other one.
+    assert StarStatus._fields == ("evidence",)
+    trefoil = ZeroCore(2, 3, 1, 1)
+    invariants = SeifertInvariants(0, (Fraction(1, 3), Fraction(2, 3)))
+    cases = [
+        (FinitePi1(canonical_star_status(trefoil, 5).evidence.group), False),
+        (NoCTF_SeifertObstruction(invariants), False),
+        (Catalog("two-bridge"), False),
+        (PositiveBetti(6), True),
+        (PSL2R_Rep(jn_data(ZeroCore(2, 5, 1, 1), CoverSpec(4, (1,)))), True),
+    ]
+    for evidence, star in cases:
+        status = StarStatus(evidence)
+        assert status.evidence is evidence
+        assert status.star is star
+        assert status.verdict == ("Star" if star else "NotStar")
+    assert canonical_star_status(trefoil, 6).verdict == "Star"
+    assert canonical_star_status(trefoil, 5).verdict == "NotStar"
 
 
 @pytest.mark.parametrize(

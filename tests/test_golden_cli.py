@@ -7,18 +7,30 @@ weighted covers with both outcomes.  Any change to a byte of the output
 shows here; re-capture a file only when an output change is intended.
 The `demo-<name>.out` files hold the standard output of each script in
 `demos/`, run in process.
+
+Two wider checks read files kept elsewhere in the repository: every
+argument vector recorded in the benchmark's CLI references is replayed
+for its exit code and output digest, and the README's library example
+must print what its comments say.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gzip
+import hashlib
+import io
 import json
 import runpy
 from pathlib import Path
 
 from seifertlinks.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# {json.dumps(argv): [exit code, sha256(stdout)[:16]]}, read only.
+CLI_REFS = ROOT / "perfbench" / "refs" / "cli.json.gz"
 
 
 def test_cli_output_matches_golden_corpus(capsys):
@@ -42,3 +54,37 @@ def test_demo_output_matches_golden(capsys):
         if out.encode("utf-8") != (GOLDEN / f"demo-{demo.stem}.out").read_bytes():
             mismatched.append(demo.name)
     assert not mismatched, mismatched
+
+
+def test_cli_replays_every_recorded_benchmark_answer():
+    with gzip.open(CLI_REFS, "rt", encoding="utf-8") as handle:
+        refs = json.load(handle)
+    mismatched = []
+    for key, want in refs.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(json.loads(key))
+            except SystemExit as stop:  # argparse exits on a usage error
+                code = stop.code
+        got = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]]
+        if got != want:
+            mismatched.append(key)
+    assert len(refs) >= 4000
+    assert not mismatched, mismatched[:10]
+
+
+def test_readme_library_example_prints_its_comments():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Library\n", 1)[1]
+    example = example.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [
+        line.rpartition("# ")[2]
+        for line in example.splitlines()
+        if line.startswith("print(")
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, "README.md", "exec"), {})
+    assert len(expected) == 3
+    assert out.getvalue().splitlines() == expected

@@ -10,9 +10,11 @@ take no arithmetic from the package they check.
 The checks read the sources with the standard `ast` module, so they see
 names, not behaviour: a name counts as used when it appears anywhere in
 the module as an identifier or an attribute.
-`from __future__` imports and the re-exports of `__init__` are exempt.
-One more test imports the CLI in a fresh interpreter and checks which
-modules that loads, and one runs every `>>>` example in the package.
+`from __future__` imports and the star re-exports of `__init__` are
+exempt.  At run time, one more test checks that the package exports the
+union of its modules' `__all__`, one imports the CLI in a fresh
+interpreter and checks which modules that loads, and one runs every
+`>>>` example in the package.
 """
 
 from __future__ import annotations
@@ -99,11 +101,14 @@ def _bound_at_top_level(tree: ast.Module) -> set[str]:
 
 
 def _exported_names(tree: ast.Module) -> list[str]:
+    """The names of a literal `__all__` list; none for a computed one, as
+    in `__init__`, which the runtime test below checks instead."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            return [item.value for item in node.value.elts]
+            if isinstance(node.value, (ast.List, ast.Tuple)):
+                return [item.value for item in node.value.elts]
     return []
 
 
@@ -118,6 +123,24 @@ def test_all_names_only_what_the_module_binds():
             if name not in bound
         ]
     assert not stale, "__all__ names nothing bound: " + ", ".join(stale)
+
+
+def test_package_exports_the_union_of_the_modules_all():
+    # `__init__` star-imports the modules, so a name two modules export
+    # would be bound to whichever comes last, without a warning.
+    import seifertlinks
+
+    modules = [
+        importlib.import_module(f"seifertlinks.{path.stem}")
+        for path in SOURCES
+        if path.name != "__init__.py" and _exported_names(_tree(path))
+    ]
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names)), "names exported twice"
+    assert seifertlinks.__all__ == sorted(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(seifertlinks, name) is getattr(module, name), name
 
 
 def test_no_unreferenced_private_functions():

@@ -175,12 +175,12 @@ def test_cyclotomic_known_small_values():
     assert dict(cyclotomic(12).terms) == {0: 1, 2: -1, 4: 1}
 
 
-def test_to_text_readable_forms():
-    assert LaurentPoly(()).to_text() == "0"
-    assert LaurentPoly(((0, 1),)).to_text() == "1"
+def test_text_readable_forms():
+    assert str(LaurentPoly(())) == "0"
+    assert str(LaurentPoly(((0, 1),))) == "1"
     poly = LaurentPoly(((0, 1), (3, -1), (7, 2)))
-    assert poly.to_text() == "1 - t^3 + 2t^7"
-    assert LaurentPoly(((1, -1),)).to_text() == "-t"
+    assert f"{poly}" == "1 - t^3 + 2t^7"
+    assert str(LaurentPoly(((1, -1),))) == "-t"
 
 
 def test_breadth_and_extremes():

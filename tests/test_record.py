@@ -16,9 +16,7 @@ from seifertlinks import (
     CoverSpec,
     Cyclic,
     DynkinType,
-    FinitePi1,
     InvalidParameters,
-    Known,
     StarStatus,
     ZeroCore,
     build_table,
@@ -159,9 +157,5 @@ def test_post_init_validations_still_run():
         CoverSpec(1, ())
     with pytest.raises(InvalidParameters):
         CoverSpec(3, (1, 3))
-    with pytest.raises(ValueError):
-        StarStatus(True, FinitePi1(Cyclic(2)))
-    with pytest.raises(ValueError):
-        StarStatus(False, Known(0))
     with pytest.raises(InvalidParameters):
         replace(CoverSpec(3, (1, 2)), n=2)
