@@ -16,11 +16,12 @@ fibration minus number against it), and each sign records the orientation
 of an included core circle.
 
 Different parameter tuples can denote the same oriented link.  `normalize`
-rewrites any valid tuple to the unique canonical representative and flags
-it, and a flagged link passes through it again in O(1).  Every public
-function of the package starts by normalizing its link, so a link is
-validated and rewritten once, where it enters; the verdicts of
-`alexander`, `orbifold` and `cover` check the rest inline.
+writes down the unique canonical representative of any valid tuple in one
+pass over its view (below) and flags it, and a flagged link passes through
+it again in O(1).  Every public function of the package starts by
+normalizing its link, so a link is validated and normalized once, where it
+enters; the verdicts of `alexander`, `orbifold` and `cover` check the rest
+inline.
 
 Every prime link of the class is k regular fibres and two exceptional
 positions, of multiplicities q and p, each either a core of the link or
@@ -34,9 +35,9 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
-from ._record import Record, replace
+from ._record import Record
 from .errors import (
     InvalidParameters,
     LinkInputError,
@@ -132,8 +133,8 @@ def components(link: SeifertLink) -> int:
 
 
 def _shape(link: SeifertLink) -> Optional[tuple[int, int, int, int, int, int]]:
-    """(p, q, k, w, e1, e2) of a canonical link, as in the module
-    docstring; None for a composite Hopf sum."""
+    """(p, q, k, w, e1, e2) of a link, as in the module docstring, read
+    off its fields; None for a composite Hopf sum."""
     if isinstance(link, HopfSum):
         return (1, 1, 2, 2, 0, 0) if link.plus + link.minus == 1 else None
     if isinstance(link, ZeroCore):
@@ -189,143 +190,82 @@ def _validate(link: SeifertLink) -> None:
         )
 
 
-# -- rewriting to normal form -------------------------------------------------
+# -- the normal form ----------------------------------------------------------
 #
-# Each rule either returns a strictly simpler presentation of the same
-# oriented link or None.  `normalize` applies them to a fixed point; the
-# randomized-order confluence test in the suite relies on every rule being
-# sound on its own, not on the order used here.
+# One pass over the view of a valid raw link writes down its canonical view.
+# Each step is an oriented isotopy, named beside it; the suite keeps the
+# same moves as separate rewrite rules and checks that the pass agrees with
+# their fixed point, in any order of the rules.
 
 
-def _rule_hopf_order(link: SeifertLink) -> Optional[SeifertLink]:
-    # Component reversal identifies the two Hopf chiralities, so only the
-    # summand counts up to order matter.
-    if isinstance(link, HopfSum) and link.minus > link.plus:
-        return HopfSum(link.minus, link.plus)
-    return None
-
-
-def _rule_negative_w(link: SeifertLink) -> Optional[SeifertLink]:
-    # Reversing every component at once is an isotopy of the link, and it
-    # negates w together with every core sign.
-    if isinstance(link, ZeroCore) and link.w < 0:
-        return replace(link, w=-link.w)
-    if isinstance(link, OneCore) and link.w < 0:
-        return replace(link, w=-link.w, sign=-link.sign)
-    if isinstance(link, TwoCore) and link.w < 0:
-        return replace(
-            link, w=-link.w, sign1=-link.sign1, sign2=-link.sign2
-        )
-    return None
-
-
-def _rule_absorb_unit_core(link: SeifertLink) -> Optional[SeifertLink]:
-    # When q = 1 the first core is itself a regular fibre, so it joins the
-    # parallel copies with its own orientation sign.
-    if isinstance(link, OneCore) and link.q == 1:
-        return ZeroCore(link.p, 1, link.k + 1, link.w + link.sign)
-    return None
-
-
-def _rule_hopf_forms(link: SeifertLink) -> Optional[SeifertLink]:
-    # Two-component unit-multiplicity presentations are the Hopf link.
-    if isinstance(link, ZeroCore) and (link.p, link.q, link.k) == (1, 1, 2):
-        return HopfSum(1, 0)
-    if isinstance(link, OneCore) and link.p == 1 and link.k == 1:
-        return HopfSum(1, 0)
-    return None
-
-
-def _rule_swap_multiplicities(link: SeifertLink) -> Optional[SeifertLink]:
-    # The two fibre multiplicities play symmetric roles when no core (or a
-    # like-oriented pair of cores) breaks the symmetry.
-    if isinstance(link, ZeroCore) and link.p > link.q:
-        return ZeroCore(link.q, link.p, link.k, link.w)
-    if (
-        isinstance(link, TwoCore)
-        and link.sign1 == link.sign2
-        and link.p > link.q
-    ):
-        return TwoCore(link.q, link.p, link.k, link.w, link.sign1, link.sign2)
-    return None
-
-
-def _rule_two_core_sign_order(link: SeifertLink) -> Optional[SeifertLink]:
-    # Exchanging the two cores swaps p with q and the sign pair.
-    if isinstance(link, TwoCore) and (link.sign1, link.sign2) == (-1, 1):
-        return TwoCore(link.q, link.p, link.k, link.w, 1, -1)
-    return None
-
-
-def _rule_balanced_signs(link: SeifertLink) -> Optional[SeifertLink]:
-    # With w = 0 the link is reversal-symmetric, which flips every core
-    # sign; use that to force a leading positive sign.
-    if isinstance(link, OneCore) and link.w == 0 and link.sign == -1:
-        return replace(link, sign=1)
-    if isinstance(link, TwoCore) and link.w == 0 and link.sign1 == -1:
-        return replace(link, sign1=-link.sign1, sign2=-link.sign2)
-    return None
-
-
-def _rule_balanced_mixed_swap(link: SeifertLink) -> Optional[SeifertLink]:
-    # Composing reversal with the core exchange shows that a balanced
-    # mixed-sign pair also has symmetric multiplicities.
-    if (
-        isinstance(link, TwoCore)
-        and link.w == 0
-        and (link.sign1, link.sign2) == (1, -1)
-        and link.p > link.q
-    ):
-        return TwoCore(link.q, link.p, link.k, 0, 1, -1)
-    return None
-
-
-_REWRITE_RULES: tuple[Callable[[SeifertLink], Optional[SeifertLink]], ...] = (
-    _rule_hopf_order,
-    _rule_negative_w,
-    _rule_absorb_unit_core,
-    _rule_hopf_forms,
-    _rule_swap_multiplicities,
-    _rule_two_core_sign_order,
-    _rule_balanced_signs,
-    _rule_balanced_mixed_swap,
-)
+def _normal_form(link: SeifertLink) -> tuple[SeifertLink, Optional[tuple]]:
+    """The canonical presentation of a valid `link` and its view: `link`
+    itself when it is already canonical, else the one record of that
+    view."""
+    if isinstance(link, HopfSum):
+        # Component reversal identifies the two Hopf chiralities, so only
+        # the summand counts up to order matter.
+        if link.minus > link.plus:
+            link = HopfSum(link.minus, link.plus)
+        return link, _shape(link)
+    view = p, q, k, w, e1, e2 = _shape(link)
+    if e1 and q == 1:
+        # When q = 1 the first core is itself a regular fibre, so it joins
+        # the parallel copies with its own orientation sign.
+        k, w, e1 = k + 1, w + e1, 0
+    if (p, q, k) == (1, 1, 2) or (p, k) == (1, 1):
+        # Two-component unit-multiplicity presentations are the Hopf link:
+        # two regular fibres of the (1, 1) fibration, or a regular fibre
+        # beside a core when p = 1 (a single fibre with p = 1 and no core
+        # is the unknot, which `_validate` rejects).
+        return HopfSum(1, 0), (1, 1, 2, 2, 0, 0)
+    if w < 0 or (w == 0 and e1 < 0):
+        # Reversing every component at once is an isotopy of the link: it
+        # negates w with every core sign.  With w = 0 it forces a leading
+        # positive sign.
+        w, e1, e2 = -w, -e1, -e2
+    if e2 and e1 < e2:
+        # Exchanging the two cores swaps p with q and the sign pair.
+        p, q, e1, e2 = q, p, e2, e1
+    if p > q and (e1 == e2 or (e2 and w == 0)):
+        # The multiplicities play symmetric roles when no core, or a
+        # like-oriented pair of cores, breaks the symmetry; a balanced
+        # mixed pair is symmetric too, by the exchange composed with
+        # reversal.
+        p, q = q, p
+    canonical = p, q, k, w, e1, e2
+    if canonical == view:
+        # Equal views imply the same record class.
+        return link, view
+    return _of_shape(*canonical), canonical
 
 
 def normalize(link: SeifertLink) -> SeifertLink:
-    """Validate `link` and rewrite it to the canonical representative.
+    """Validate `link` and return the canonical representative.
 
     Raises NotCoprime, InvalidParameters, or UnknotInput when the
     parameters do not denote a link of the class.  Idempotent and total on
-    valid input.  It flags its result and stores the result's view of
+    valid input; `link` itself comes back when its view is already
+    canonical.  It flags its result and stores the result's view of
     `_shape` beside the flag, and returns a flagged link at once.
     """
     if link._canonical:
         return link
     _validate(link)
-    current = link
-    changed = True
-    while changed:
-        changed = False
-        for rule in _REWRITE_RULES:
-            result = rule(current)
-            if result is not None:
-                current = result
-                changed = True
-                break
-    object.__setattr__(current, "_view", _shape(current))
-    object.__setattr__(current, "_canonical", True)
-    return current
+    link, view = _normal_form(link)
+    object.__setattr__(link, "_view", view)
+    object.__setattr__(link, "_canonical", True)
+    return link
 
 
 def is_canonical(link: SeifertLink) -> bool:
     """True when `link` is already in the unique normal form: it is valid
-    and no rewrite rule applies to it."""
+    and the normal-form pass hands it back unchanged."""
     try:
         _validate(link)
     except LinkInputError:
         return False
-    return all(rule(link) is None for rule in _REWRITE_RULES)
+    return _normal_form(link)[0] is link
 
 
 # -- rendering ----------------------------------------------------------------

@@ -340,6 +340,7 @@ _VIEW_READERS = (
     ("classify.py", "_spherical_base"),
     ("classify.py", "classification_report"),
     ("classify.py", "_dynkin"),
+    ("link_model.py", "_normal_form"),
     ("link_model.py", "components"),
     ("link_model.py", "alias"),
     ("link_model.py", "reorient_to_P"),

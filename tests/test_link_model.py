@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from itertools import product
+from typing import Callable, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -28,11 +29,13 @@ from seifertlinks import (
     render,
     reorient_to_P,
 )
-from seifertlinks._record import replace
+from seifertlinks import link_model
+from seifertlinks._record import Record, replace
 from seifertlinks.cli import _encode
-from seifertlinks.link_model import _REWRITE_RULES, _of_shape, _shape
+from seifertlinks.link_model import SeifertLink, _of_shape, _shape
 
-from conftest import raw_links
+from conftest import raw_core_links, raw_links
+from reference_alexander import reference_delta
 
 
 # -- worked normalization examples ---------------------------------------------
@@ -158,12 +161,131 @@ def test_invalid_input_raises_every_time_and_is_never_flagged(raw):
     assert not raw._canonical
 
 
+# -- the reference: the normal form as eight rewrite rules ---------------------
+#
+# Each rule either returns a strictly simpler presentation of the same
+# oriented link or None.  Applied to a fixed point, in any order, they reach
+# the canonical form that `normalize` writes down in one pass; the tests
+# below check that on random orders and on every valid tuple of a box.
+
+
+def _rule_hopf_order(link: SeifertLink) -> Optional[SeifertLink]:
+    # Component reversal identifies the two Hopf chiralities, so only the
+    # summand counts up to order matter.
+    if isinstance(link, HopfSum) and link.minus > link.plus:
+        return HopfSum(link.minus, link.plus)
+    return None
+
+
+def _rule_negative_w(link: SeifertLink) -> Optional[SeifertLink]:
+    # Reversing every component at once is an isotopy of the link, and it
+    # negates w together with every core sign.
+    if isinstance(link, ZeroCore) and link.w < 0:
+        return replace(link, w=-link.w)
+    if isinstance(link, OneCore) and link.w < 0:
+        return replace(link, w=-link.w, sign=-link.sign)
+    if isinstance(link, TwoCore) and link.w < 0:
+        return replace(
+            link, w=-link.w, sign1=-link.sign1, sign2=-link.sign2
+        )
+    return None
+
+
+def _rule_absorb_unit_core(link: SeifertLink) -> Optional[SeifertLink]:
+    # When q = 1 the first core is itself a regular fibre, so it joins the
+    # parallel copies with its own orientation sign.
+    if isinstance(link, OneCore) and link.q == 1:
+        return ZeroCore(link.p, 1, link.k + 1, link.w + link.sign)
+    return None
+
+
+def _rule_hopf_forms(link: SeifertLink) -> Optional[SeifertLink]:
+    # Two-component unit-multiplicity presentations are the Hopf link.
+    if isinstance(link, ZeroCore) and (link.p, link.q, link.k) == (1, 1, 2):
+        return HopfSum(1, 0)
+    if isinstance(link, OneCore) and link.p == 1 and link.k == 1:
+        return HopfSum(1, 0)
+    return None
+
+
+def _rule_swap_multiplicities(link: SeifertLink) -> Optional[SeifertLink]:
+    # The two fibre multiplicities play symmetric roles when no core (or a
+    # like-oriented pair of cores) breaks the symmetry.
+    if isinstance(link, ZeroCore) and link.p > link.q:
+        return ZeroCore(link.q, link.p, link.k, link.w)
+    if (
+        isinstance(link, TwoCore)
+        and link.sign1 == link.sign2
+        and link.p > link.q
+    ):
+        return TwoCore(link.q, link.p, link.k, link.w, link.sign1, link.sign2)
+    return None
+
+
+def _rule_two_core_sign_order(link: SeifertLink) -> Optional[SeifertLink]:
+    # Exchanging the two cores swaps p with q and the sign pair.
+    if isinstance(link, TwoCore) and (link.sign1, link.sign2) == (-1, 1):
+        return TwoCore(link.q, link.p, link.k, link.w, 1, -1)
+    return None
+
+
+def _rule_balanced_signs(link: SeifertLink) -> Optional[SeifertLink]:
+    # With w = 0 the link is reversal-symmetric, which flips every core
+    # sign; use that to force a leading positive sign.
+    if isinstance(link, OneCore) and link.w == 0 and link.sign == -1:
+        return replace(link, sign=1)
+    if isinstance(link, TwoCore) and link.w == 0 and link.sign1 == -1:
+        return replace(link, sign1=-link.sign1, sign2=-link.sign2)
+    return None
+
+
+def _rule_balanced_mixed_swap(link: SeifertLink) -> Optional[SeifertLink]:
+    # Composing reversal with the core exchange shows that a balanced
+    # mixed-sign pair also has symmetric multiplicities.
+    if (
+        isinstance(link, TwoCore)
+        and link.w == 0
+        and (link.sign1, link.sign2) == (1, -1)
+        and link.p > link.q
+    ):
+        return TwoCore(link.q, link.p, link.k, 0, 1, -1)
+    return None
+
+
+_REWRITE_RULES: tuple[Callable[[SeifertLink], Optional[SeifertLink]], ...] = (
+    _rule_hopf_order,
+    _rule_negative_w,
+    _rule_absorb_unit_core,
+    _rule_hopf_forms,
+    _rule_swap_multiplicities,
+    _rule_two_core_sign_order,
+    _rule_balanced_signs,
+    _rule_balanced_mixed_swap,
+)
+
+
+def rules_fixed_point(link, rng=None):
+    """Apply the rewrite rules until none fires, in a fresh random order
+    each round when `rng` is given."""
+    rules = list(_REWRITE_RULES)
+    while True:
+        if rng is not None:
+            rng.shuffle(rules)
+        for rule in rules:
+            replaced = rule(link)
+            if replaced is not None:
+                link = replaced
+                break
+        else:
+            return link
+
+
 # -- normalization is total, idempotent, and confluent --------------------------
 
 
 def reference_is_canonical(link) -> bool:
-    """The normal form written out case by case, independently of the
-    rewrite rules that `is_canonical` is derived from."""
+    """The normal form written out case by case, independently of both
+    the rewrite rules and the pass of `is_canonical`."""
     try:
         normalize(link)
     except LinkInputError:
@@ -241,20 +363,45 @@ def test_normalize_total_and_idempotent(raw):
 @settings(max_examples=300)
 @given(raw_links(), st.randoms(use_true_random=False))
 def test_rewrite_order_does_not_matter(raw, rng):
-    # Apply the rewrite rules in a random order until no rule fires; any
-    # order must reach the same canonical form.
-    rules = list(_REWRITE_RULES)
-    current = raw
-    while True:
-        rng.shuffle(rules)
-        for rule in rules:
-            replaced = rule(current)
-            if replaced is not None:
-                current = replaced
-                break
-        else:
-            break
-    assert current == normalize(raw)
+    # Any order of the rules reaches the form that `normalize` writes down.
+    assert rules_fixed_point(raw, rng) == normalize(raw)
+
+
+def test_rules_reach_normalize_on_dense_box():
+    valid = 0
+    for raw in dense_box():
+        try:
+            canonical = normalize(raw)
+        except LinkInputError:
+            continue
+        valid += 1
+        assert rules_fixed_point(raw) == canonical, raw
+    assert valid == 1355
+
+
+def test_normalize_returns_a_canonical_input_itself_and_builds_nothing(
+    grid, monkeypatch
+):
+    # The fast path: an unflagged copy of a canonical link comes back as
+    # the same object, with no record built on the way.
+    copies = [replace(link) for link in grid]
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        Record.__init__(self, *args, **kwargs)
+
+    def counting_of_shape(*view):
+        built.append(view)
+        return _of_shape(*view)
+
+    for cls in (HopfSum, ZeroCore, OneCore, TwoCore):
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    monkeypatch.setattr(link_model, "_of_shape", counting_of_shape)
+    assert all(normalize(copy) is copy for copy in copies)
+    assert not built, built[:5]
+    assert normalize(ZeroCore(3, 2, 1, 1)) == ZeroCore(2, 3, 1, 1)
+    assert built, "the counters saw no record being built"
 
 
 def _presented_components(link):
@@ -299,30 +446,80 @@ def test_normalize_stores_the_view(grid):
     assert normalize(TwoCore(5, 2, 1, 1, -1, 1))._view == (2, 5, 1, 1, 1, -1)
 
 
-def _total_linking_number(link):
-    # Sum of all pairwise linking numbers, straight from the fibration:
-    # two fibre copies link pq times, a copy links the q-side core p
-    # times and the p-side core q times, and the two cores link once.
-    p, q, k, w = link.p, link.q, link.k, link.w
-    total = p * q * (w * w - k) // 2
-    if isinstance(link, OneCore):
-        total += p * link.sign * w
-    if isinstance(link, TwoCore):
-        total += p * link.sign1 * w + q * link.sign2 * w
-        total += link.sign1 * link.sign2
-    return total
+# -- an invariant key ----------------------------------------------------------
+#
+# Oriented-isotopy invariants read off a presentation without normalizing
+# it, so they check `normalize` independently of both normal-form codes.
+# The linking numbers come straight from the fibration: two fibre copies
+# link pq times, a copy links the q-side core p times and the p-side core
+# q times, and the two cores link once; a Hopf sum is the keychain, whose
+# ring links each key once with the summand's sign.  A fibre copy is the
+# torus knot T(p, q) and every other component an unknot, written (1, 1).
+# Source: Burde and Murasugi, Duke Math. J. 1970.
 
 
-@settings(max_examples=300)
-@given(raw_links())
-def test_normalize_preserves_total_linking_number(raw):
-    # An oriented-isotopy invariant computed without normalizing, so it
-    # cross-checks every rewrite rule at once.  The Hopf identifications
-    # are excluded: they equate the two chiralities on purpose.
-    canonical = normalize(raw)
-    if isinstance(raw, HopfSum) or isinstance(canonical, HopfSum):
-        return
-    assert _total_linking_number(canonical) == _total_linking_number(raw)
+def _knots_and_linking(link):
+    """(knot types, linking signature): the sorted knot types of the
+    components, and the sorted list of each component's sorted linking
+    numbers with the others."""
+    if isinstance(link, HopfSum):
+        signs = [1] * link.plus + [-1] * link.minus
+        rows = [signs] + [[sign] + [0] * (len(signs) - 1) for sign in signs]
+        knots = [(1, 1)] * len(rows)
+    else:
+        p, q, k, w = link.p, link.q, link.k, link.w
+        e1 = e2 = 0
+        if isinstance(link, OneCore):
+            e1 = link.sign
+        elif isinstance(link, TwoCore):
+            e1, e2 = link.sign1, link.sign2
+        times = {("copy", "copy"): p * q, ("copy", "q"): p, ("copy", "p"): q,
+                 ("p", "q"): 1}
+        parts = [("copy", 1)] * ((k + w) // 2) + [("copy", -1)] * ((k - w) // 2)
+        parts += [("q", e1)] * abs(e1) + [("p", e2)] * abs(e2)
+        rows = [
+            [
+                times[min(a, b), max(a, b)] * sign_a * sign_b
+                for j, (b, sign_b) in enumerate(parts)
+                if j != i
+            ]
+            for i, (a, sign_a) in enumerate(parts)
+        ]
+        fibre = (min(p, q), max(p, q)) if min(p, q) > 1 else (1, 1)
+        knots = [fibre] * k + [(1, 1)] * (abs(e1) + abs(e2))
+    return tuple(sorted(knots)), tuple(sorted(tuple(sorted(row)) for row in rows))
+
+
+# The raw Hopf links of linking number -1 in `raw_core_links(7, 6)`:
+# `normalize` identifies each Hopf sum with its mirror image, as the
+# `HopfSum` docstring says, so these alone change their linking signature.
+_MIRRORED_HOPF_LINKS = {ZeroCore(1, 1, 2, 0), OneCore(1, 1, 1, 1, -1)} | {
+    OneCore(1, q, 1, 1, -1) for q in range(2, 8)
+}
+
+
+def test_normalize_preserves_linking_signature():
+    moved = {
+        raw
+        for raw in raw_core_links(7, 6)
+        if _knots_and_linking(normalize(raw)) != _knots_and_linking(raw)
+    }
+    assert moved == _MIRRORED_HOPF_LINKS
+    assert all(normalize(raw) == HopfSum(1, 0) for raw in moved)
+
+
+def test_invariant_key_separates_the_grid(grid):
+    # Components, Alexander polynomial, knot types and linking signature
+    # tell every two canonical grid links apart: no two canonical tuples
+    # name the same link.
+    keys = {}
+    for link in grid:
+        knots, linking = _knots_and_linking(link)
+        key = (len(knots), reference_delta(link), knots, linking)
+        keys.setdefault(key, []).append(link)
+    collisions = [links for links in keys.values() if len(links) > 1]
+    assert len(grid) == 1636
+    assert not collisions, collisions[:5]
 
 
 # -- rendering -----------------------------------------------------------------
