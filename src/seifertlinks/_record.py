@@ -17,9 +17,9 @@ names; only a keyword call or a wrong argument count goes through
 `_arrange`, which checks the arguments.  A hot record defines a direct
 `__init__` that stores its fields the same way: `ConeOrbifold`, and
 `StarStatus`, which is built once per star verdict and stores only its
-evidence.  A rotation verdict returns its `JNData` witness in integers:
-the record stores its sigma and angles on their first read, through
-`__getattr__`.
+evidence.  Two records store a field on its first read, through
+`__getattr__`: the `JNData` witness of a rotation verdict builds its
+sigma and angles, and the `LaurentPoly` of `delta` expands its terms.
 """
 
 from __future__ import annotations

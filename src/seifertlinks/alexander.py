@@ -8,38 +8,13 @@ to units its one-variable Alexander polynomial is
 over short lists of positive exponents, the k equal ones held once with
 their count (None stands for the zero polynomial).  Genus, determinant
 and cyclotomic divisibility are read off them in time independent of k.
-No polynomial arithmetic is done elsewhere than in `delta`, which
-expands the product and wraps the sorted terms in the one `LaurentPoly`
-it returns.
-
-The first numerator exponent is always 1, so Delta = c (1 - t) F(t^g),
-where g is the gcd of the other exponents, and `delta` takes one of two
-paths, each taking time and memory in proportion to the answer:
-
-- g >= 2, where g is |s| of `_factored` divided by the multiplicities
-  of the exceptional positions not in the link (w for ZeroCore links,
-  w q + sign for one-core links, |s| for two-core links): F is expanded
-  in a dense list of integer coefficients over its own breadth.  Each
-  nonzero coefficient gives two terms of Delta, at g e and g e + 1, so
-  they come out sorted and never collide, and the list is no longer
-  than the answer as long as at least half its slots are nonzero.  For
-  every canonical link with p, q <= 11 and k <= 9, at least 0.55 of
-  the slots of F are nonzero; for ZeroCore links with k = 2, where F is
-  a product of two geometric sums with p q distinct exponents over
-  2 p q - p - q + 1 slots, the share tends to one half from above.
-- otherwise (g = 1, as for torus knots and Hopf sums, or no exponent
-  after the leading 1, as for the ZeroCore links with w = 0): the
-  answer can be far sparser than its breadth (T(1500,1501) has 2,999
-  terms over a breadth of about 2.25 million), so the product is
-  expanded term by term in a dictionary and each denominator is divided
-  out along runs of equal running sums, visiting only the terms.
+`delta` returns a `LaurentPoly` that holds this factored form and
+expands its terms only when they are read (see `laurent`), so asking for
+an invariant, or for the breadth of Delta, never expands a polynomial.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, count, repeat
-from math import gcd
-from operator import sub
 from typing import Optional
 
 from .errors import InvalidParameters, InvariantViolation
@@ -86,115 +61,18 @@ def _phi_divides(n: int, factored: Optional[_Factored]) -> bool:
     return (n == 1) + count * (m % n == 0) > sum(d % n == 0 for d in denominator)
 
 
-def _divide_by_one_minus_power(
-    terms: list[tuple[int, int]], d: int
-) -> list[tuple[int, int]]:
-    """Exact quotient by 1 - t^d of the polynomial with these sorted
-    (exponent, coefficient) terms, as sorted terms.
-
-    Along each residue class mod d the quotient's coefficients are the
-    running sums of the dividend's coefficients, constant from one
-    exponent of the class to the next, so only the stretches where that
-    sum is nonzero are visited."""
-    classes: dict[int, list[tuple[int, int]]] = {}
-    for exp, coef in terms:
-        classes.setdefault(exp % d, []).append((exp, coef))
-    runs = []
-    for chain in classes.values():
-        total = 0
-        for (start, coef), (stop, _) in zip(chain, chain[1:]):
-            total += coef
-            if total:
-                runs.append((range(start, stop, d), total))
-        if total + chain[-1][1]:
-            raise InvariantViolation(f"1 - t^{d} does not divide {terms}")
-    # Sized before it is filled, so a quotient too large for memory fails
-    # at once instead of growing until the machine runs out.
-    quotient: list = [None] * sum(len(span) for span, _ in runs)
-    filled = 0
-    for span, total in runs:
-        quotient[filled : filled + len(span)] = zip(span, repeat(total))
-        filled += len(span)
-    quotient.sort()
-    return quotient
-
-
-def _strided_coefficients(expanded: tuple, g: int) -> list[int]:
-    """Coefficients of c * F(u), from u^0 up with none left out, where
-    Delta = c (1 - t) F(t^g) is (c, numerator, denominator) with every
-    exponent listed, and g divides every exponent but the first.
-
-    Multiplying by 1 - u^m subtracts the list, shifted up by m, from
-    itself.  Dividing by 1 - u^d replaces each residue class mod d by its
-    running sums; the quotient is exact only when the top d entries are
-    then zero.  Each numerator factor is followed by the first pending
-    divisor that divides it, which makes that quotient exact and keeps
-    the list short; a divisor left over is taken out at the end."""
-    content, numerator, denominator = expanded
-    coefficients = [content]
-
-    def divide(d: int) -> None:
-        for residue in range(d):
-            coefficients[residue::d] = accumulate(coefficients[residue::d])
-        if any(coefficients[-d:]):
-            raise InvariantViolation(f"1 - t^{g * d} leaves a remainder in {expanded}")
-        del coefficients[-d:]
-
-    pending = [d // g for d in denominator]
-    for m in numerator[1:]:
-        m //= g
-        coefficients += repeat(0, m)
-        coefficients[m:] = map(sub, coefficients[m:], coefficients)
-        d = next((d for d in pending if m % d == 0), 0)
-        if d:
-            pending.remove(d)
-            divide(d)
-    for d in pending:
-        divide(d)
-    return coefficients
-
-
 def delta(link: SeifertLink) -> LaurentPoly:
     """One-variable Alexander polynomial, unit-normalized (lowest exponent
-    0, positive constant term).
-
-    With Delta = c (1 - t) F(t^g) as in the module docstring: when
-    g >= 2, F is expanded densely by `_strided_coefficients` and each
-    nonzero coefficient a of u^e gives the terms a t^(g e) and
-    -a t^(g e + 1), already in order.  Otherwise the content is
-    multiplied by each numerator binomial in place, term by term, and
-    each denominator binomial is divided out along runs, so the cost
-    follows the number of terms rather than the breadth.  Either way one
-    `LaurentPoly` is built at the end.  The zero polynomial occurs
+    0, positive constant term), holding the factored form of `_factored`:
+    its terms are expanded on first read.  The zero polynomial occurs
     exactly for ZeroCore links with w = 0 and k != 2.
     """
     factored = _factored(normalize(link))
     if factored is None:
         return LaurentPoly(())
-    content, (m, copies), denominator = factored
-    numerator = (1,) + (m,) * copies
-    g = gcd(m, *denominator)
-    if g >= 2:
-        dense = _strided_coefficients((content, numerator, denominator), g)
-        even = [(exp, coef) for exp, coef in zip(count(0, g), dense) if coef]
-        terms = [None] * (2 * len(even))
-        terms[::2] = even
-        terms[1::2] = [(exp + 1, -coef) for exp, coef in even]
-        return LaurentPoly(tuple(terms))
-    coefficients = {0: content}
-    for m in numerator:
-        # Highest exponent first: each coefficient is read before the
-        # shifted copy of a lower term lands on it.
-        for exp in sorted(coefficients, reverse=True):
-            shifted = coefficients.get(exp + m, 0) - coefficients[exp]
-            if shifted:
-                coefficients[exp + m] = shifted
-            else:
-                del coefficients[exp + m]
-    terms = sorted(coefficients.items())
-    for d in denominator:
-        terms = _divide_by_one_minus_power(terms, d)
-    return LaurentPoly(tuple(terms))
+    poly = LaurentPoly.__new__(LaurentPoly)
+    object.__setattr__(poly, "_factored", factored)
+    return poly
 
 
 def determinant(link: SeifertLink) -> int:

@@ -4,6 +4,8 @@ splice formulas of `reference_alexander`."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import time
 import tracemalloc
 from math import gcd
@@ -36,12 +38,9 @@ from seifertlinks import (
     determinant,
     genus,
 )
-from seifertlinks import alexander
-from seifertlinks.alexander import (
-    _divide_by_one_minus_power,
-    _factored,
-    _strided_coefficients,
-)
+from seifertlinks import alexander, laurent
+from seifertlinks.alexander import _factored
+from seifertlinks.laurent import _divide_by_one_minus_power, _strided_coefficients
 
 
 # -- frozen closed forms ---------------------------------------------------------
@@ -169,6 +168,9 @@ def test_large_parameters_need_no_expansion():
     assert determinant(ZeroCore(99999999999, 2, 1, 1)) == 99999999999
     assert genus(ZeroCore(99999999999, 2, 1, 1)) == 49999999999
     assert cyclotomic_divides(2 * 99999999999, ZeroCore(99999999999, 2, 1, 1))
+    poly = delta(ZeroCore(2, 3, 99999999999, 1))
+    assert poly.breadth == 599999999990 and not poly.is_zero
+    assert "terms" not in vars(poly)
     assert time.process_time() - start < 5
 
 
@@ -238,18 +240,66 @@ def test_delta_matches_reference_on_large_links():
 
 
 def test_delta_builds_one_laurent_poly_per_call(grid, monkeypatch):
-    built = []
+    # One record per call, holding Delta factored: its terms are expanded
+    # once, on their first read, and never for its breadth or is_zero.
+    built, expanded = [], []
 
     class Counted(LaurentPoly):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+        def __new__(cls, *args):
+            built.append(cls)
+            return super().__new__(cls)
+
+    expand = laurent._expand
+
+    def counted_expand(factored):
+        expanded.append(factored)
+        return expand(factored)
 
     monkeypatch.setattr(alexander, "LaurentPoly", Counted)
+    monkeypatch.setattr(laurent, "_expand", counted_expand)
     for link in grid:
         built.clear()
+        expanded.clear()
         poly = delta(link)
-        assert built == [(poly.terms,)], link
+        if not poly.is_zero:
+            poly.breadth
+        assert built == [Counted] and expanded == [], link
+        terms = poly.terms
+        assert str(poly) and poly.terms is terms
+        assert expanded == ([] if poly.is_zero else [_factored(link)]), link
+
+
+def same_record(record, expected):
+    for candidate in (record, copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert candidate == expected
+        assert hash(candidate) == hash(expected)
+        assert repr(candidate) == repr(expected)
+
+
+def test_unread_delta_is_the_record_of_its_terms(grid):
+    # A record returned factored equals, hashes, prints, copies and
+    # pickles as the one built from its terms, whichever is read first.
+    for link in grid:
+        expected = LaurentPoly(reference_delta(link).terms)
+        same_record(delta(link), expected)
+        if expected.is_zero:
+            continue
+        unread = pickle.loads(pickle.dumps(delta(link)))
+        assert "terms" not in vars(unread)
+        assert unread.terms == expected.terms, link
+        for first, second in (("breadth", "terms"), ("terms", "breadth")):
+            record = delta(link)
+            assert getattr(record, first) == getattr(expected, first)
+            assert getattr(record, second) == getattr(expected, second)
+            same_record(record, expected)
+
+
+def test_breadth_is_read_off_the_factors(grid):
+    for link in grid:
+        poly = delta(link)
+        if not poly.is_zero:
+            assert poly.breadth == 2 * genus(link) + components(link) - 1, link
+            assert "terms" not in vars(poly), link
 
 
 # -- torus knot polynomial --------------------------------------------------------
