@@ -1,12 +1,20 @@
 import gc
 import sys
 
-from .cli import main
+from . import cli
 
-try:
+
+def main() -> int:
+    """The command line of both entry points, `python -m seifertlinks` and
+    the `seifertlinks` script: `cli.main`, then a frozen heap."""
+    try:
+        return cli.main()
+    finally:
+        # Interpreter exit runs full collections that visit every object the
+        # import and the answer left behind; frozen objects are skipped, while
+        # the flush, `atexit` handlers and the exit code stay as they were.
+        gc.freeze()
+
+
+if __name__ == "__main__":
     sys.exit(main())
-finally:
-    # Interpreter exit runs full collections that visit every object the
-    # import and the answer left behind; frozen objects are skipped, while
-    # the flush, `atexit` handlers and the exit code stay as they were.
-    gc.freeze()

@@ -362,7 +362,7 @@ def _resolve_alias(
     if base == "T" and len(args) == 2:
         a, b = sorted(args)
         if primes == 0:
-            if a < 1 or b < 2 or (a, b) == (1, 1):
+            if a < 1 or b < 2:
                 return None
             g = math.gcd(a, b)
             return ZeroCore(a // g, b // g, g, g)
@@ -414,3 +414,23 @@ def reorient_to_P(link: SeifertLink) -> SeifertLink:
         fresh = _of_shape(p, q, k, k, abs(e1), abs(e2))
     # A canonical link that is already positive is its own reorientation.
     return link if fresh == link else normalize(fresh)
+
+
+def _reorientations(link: SeifertLink) -> tuple[SeifertLink, ...]:
+    """Every orientation of the components of a prime `link`, each
+    normalized once, without repeats, ordered by view: w ascending, then a
+    positive core before a negative one, then p and q."""
+    p, q, k, _, e1, e2 = normalize(link)._view
+    # Reversing every component is an isotopy, so the first core keeps
+    # its sign while the copies and the second core take every sign.
+    found = {
+        normalize(_of_shape(p, q, k, w, e1, c2))
+        for w in range(-k, k + 1, 2)
+        for c2 in {e2, -e2}
+    }
+    return tuple(sorted(found, key=_orientation_order))
+
+
+def _orientation_order(link: SeifertLink) -> tuple[int, ...]:
+    p, q, _, w, e1, e2 = link._view
+    return w, -e1, -e2, p, q

@@ -45,8 +45,11 @@ from seifertlinks import (
     jn_data,
     nlo_seifert_invariants,
     normalize,
+    reorient_to_P,
+    tables,
 )
 from seifertlinks.cli import parse_link
+from seifertlinks.link_model import _reorientations
 
 
 def chi_of_cones(cones):
@@ -199,6 +202,42 @@ def test_criterion_04_cover_base_tables():
             assert b_bar(link, n).cone_orders == cones, (n, notation)
         assert chi_of_cones(cones) == 0, (n, cones)
         assert cyclotomic_divides(n, parse_link(reoriented)), (n, reoriented)
+
+
+def test_family_tables_are_complete_on_the_grid(grid):
+    # The prime grid links, grouped by their positive reorientation.
+    groups = {}
+    for link in grid:
+        if is_prime(link):
+            groups.setdefault(reorient_to_P(link), set()).add(link)
+    for group in groups.values():
+        for link in group:
+            found = _reorientations(link)
+            assert len(found) == len(group) and set(found) == group, link
+    # Every family of the tables' extent at every level they reach.
+    chi = {
+        (n, positive): chi_of_cones(b_bar(positive, n).cone_orders)
+        for positive in groups
+        if max(positive._view[:2]) <= tables._MAX_Q
+        for n in range(2, tables._MAX_N + 1)
+    }
+    spherical = {
+        pair
+        for pair, value in chi.items()
+        if value > 0 and pair[0] <= tables._MAX_SPHERICAL_N
+    }
+    euclidean = {pair for pair, value in chi.items() if value == 0}
+    for rows, expected in [
+        (tables.spherical_rows(), spherical),
+        (tables.euclidean_rows(), euclidean),
+    ]:
+        fields = [{row.key: row.value for row in columns} for columns in rows]
+        assert len(fields) == len(expected)
+        assert {(row["n"], row["reoriented"]) for row in fields} == expected
+        for row in fields:
+            group = groups[row["reoriented"]]
+            assert len(row["instances"]) == len(group), row
+            assert set(row["instances"]) == group, row
 
 
 def test_criterion_05_star_status_grid(grid):

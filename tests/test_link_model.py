@@ -580,7 +580,15 @@ def test_extra_alias_spellings_resolve():
 
 
 def test_alias_rejects_unknown_names():
-    for name in ("T(1,1)", "T(2,3)''", "P(-3,3,4)", "P(-2,3,4)''", "W(2,3)"):
+    for name in (
+        "T(1,1)",
+        "T(2,3)''",
+        "T(1-2,3)",
+        "P(-3,3,4)",
+        "P(-2,3,4)''",
+        "P(-2,2,3)''",
+        "W(2,3)",
+    ):
         with pytest.raises(UnknownAlias):
             alias_to_link(name)
 

@@ -45,6 +45,7 @@ def test_cone_orders_are_sorted_and_trivial_cones_dropped():
     orbifold = ConeOrbifold.build([2, 5, 1, 3, 1])
     assert orbifold.cone_orders == (2, 3, 5)
     assert str(orbifold) == "S2(2,3,5)"
+    assert str(ConeOrbifold.build([])) == "S2"
 
 
 def test_cone_orders_must_be_positive():
