@@ -5,7 +5,9 @@ Delta factored and expands it on first read.
 coefficients and renders them the way the reports print them.  A record
 `delta` returns holds only c (1 - t)(1 - t^m)^count / prod(1 - t^d): its
 breadth and `is_zero` are read off that form, and `_expand` computes its
-terms the first time they are read and stores them on the record.
+terms the first time they are read and stores them on the record.  The
+expansion has one path: the numerator by the binomial theorem, then one
+exact division by each 1 - t^d.
 
 >>> print(LaurentPoly(((0, 1), (1, -2), (2, 1))))
 1 - 2t + t^2
@@ -13,9 +15,7 @@ terms the first time they are read and stores them on the record.
 
 from __future__ import annotations
 
-from itertools import accumulate, count, repeat
-from math import gcd
-from operator import sub
+from itertools import repeat
 
 from ._record import Record
 from .errors import InvariantViolation, ZeroPolynomial
@@ -89,43 +89,28 @@ class LaurentPoly(Record):
 
 
 def _expand(factored: tuple) -> tuple[tuple[int, int], ...]:
-    """The sorted terms of the factored Delta (c, (m, count), denominator),
-    in time and memory in proportion to the answer.  With g the gcd of m
-    and the denominator, Delta = c (1 - t) F(t^g), and:
+    """The sorted terms of the factored Delta (c, (m, count), denominator).
 
-    - g >= 2: `_strided_coefficients` expands F densely over its own
-      breadth, and each nonzero coefficient a of u^e gives the terms
-      a t^(g e) and -a t^(g e + 1), sorted and never colliding.  The list
-      is no longer than the answer while at least half its slots are
-      nonzero: for every canonical link with p, q <= 11 and k <= 9 at
-      least 0.55 are; for ZeroCore links with k = 2, where F is a product
-      of two geometric sums with p q distinct exponents over
-      2 p q - p - q + 1 slots, the share tends to one half from above.
-    - otherwise (g = 1, as for torus knots, Hopf sums and the ZeroCore
-      links with w = 0): the answer can be far sparser than its breadth
-      (T(1500,1501) has 2,999 terms over a breadth of about 2.25
-      million), so the numerator is multiplied out term by term in a
-      dictionary and each denominator is divided out along runs of equal
-      running sums, visiting only the terms."""
+    The numerator c (1 - t)(1 - t^m)^count is written out by the binomial
+    theorem: for m = 1 it is c (1 - t)^(count + 1), and for m >= 2 each
+    term a t^(m j) of c (1 - t^m)^count gives a t^(m j) and -a t^(m j + 1),
+    already in order and never colliding.  No binomial is 0, so nothing
+    cancels.  Each 1 - t^d of the denominator is then divided out by
+    `_divide_by_one_minus_power`, which visits only the terms.  So the
+    cost is linear in count before the divisions and follows the terms
+    after them."""
     content, (m, copies), denominator = factored
-    numerator = (1,) + (m,) * copies
-    g = gcd(m, *denominator)
-    if g >= 2:
-        dense = _strided_coefficients((content, numerator, denominator), g)
-        even = [(exp, coef) for exp, coef in zip(count(0, g), dense) if coef]
-        terms = [None] * (2 * len(even))
-        terms[::2] = even
-        terms[1::2] = [(exp + 1, -coef) for exp, coef in even]
-        return tuple(terms)
-    coefficients = {0: content}
-    for m in numerator:
-        # Highest exponent first: each coefficient is read before the
-        # shifted copy of a lower term lands on it.  None cancels: for
-        # m >= 2, (1 - t)(1 - t^m)^j has pairwise distinct exponents, and
-        # for m = 1 it is (1 - t)^(j + 1), whose binomials are never 0.
-        for exp in sorted(coefficients, reverse=True):
-            coefficients[exp + m] = coefficients.get(exp + m, 0) - coefficients[exp]
-    terms = sorted(coefficients.items())
+    n, width = (copies + 1, 1) if m == 1 else (copies, 2)
+    # Sized before it is filled, so a numerator too large for memory
+    # fails at once instead of growing until the machine runs out.
+    terms: list = [None] * (width * (n + 1))
+    coef = content
+    for j in range(n + 1):
+        terms[width * j] = (m * j, coef)
+        if width == 2:
+            terms[2 * j + 1] = (m * j + 1, -coef)
+        # c (-1)^(j+1) C(n, j+1) from c (-1)^j C(n, j): the division is exact.
+        coef = -coef * (n - j) // (j + 1)
     for d in denominator:
         terms = _divide_by_one_minus_power(terms, d)
     return tuple(terms)
@@ -163,37 +148,3 @@ def _divide_by_one_minus_power(
     quotient.sort()
     return quotient
 
-
-def _strided_coefficients(expanded: tuple, g: int) -> list[int]:
-    """Coefficients of c * F(u), from u^0 up with none left out, where
-    Delta = c (1 - t) F(t^g) is (c, numerator, denominator) with every
-    exponent listed, and g divides every exponent but the first.
-
-    Multiplying by 1 - u^m subtracts the list, shifted up by m, from
-    itself.  Dividing by 1 - u^d replaces each residue class mod d by its
-    running sums; the quotient is exact only when the top d entries are
-    then zero.  Each numerator factor is followed by the first pending
-    divisor that divides it, which makes that quotient exact and keeps
-    the list short; a divisor left over is taken out at the end."""
-    content, numerator, denominator = expanded
-    coefficients = [content]
-
-    def divide(d: int) -> None:
-        for residue in range(d):
-            coefficients[residue::d] = accumulate(coefficients[residue::d])
-        if any(coefficients[-d:]):
-            raise InvariantViolation(f"1 - t^{g * d} leaves a remainder in {expanded}")
-        del coefficients[-d:]
-
-    pending = [d // g for d in denominator]
-    for m in numerator[1:]:
-        m //= g
-        coefficients += repeat(0, m)
-        coefficients[m:] = map(sub, coefficients[m:], coefficients)
-        d = next((d for d in pending if m % d == 0), 0)
-        if d:
-            pending.remove(d)
-            divide(d)
-    for d in pending:
-        divide(d)
-    return coefficients

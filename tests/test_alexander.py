@@ -8,7 +8,6 @@ import copy
 import pickle
 import time
 import tracemalloc
-from math import gcd
 
 import pytest
 
@@ -40,7 +39,7 @@ from seifertlinks import (
 )
 from seifertlinks import alexander, laurent
 from seifertlinks.alexander import _factored
-from seifertlinks.laurent import _divide_by_one_minus_power, _strided_coefficients
+from seifertlinks.laurent import _divide_by_one_minus_power
 
 
 # -- frozen closed forms ---------------------------------------------------------
@@ -191,30 +190,6 @@ def test_inexact_division_is_an_invariant_violation():
     assert _divide_by_one_minus_power(one_minus_t, 1) == [(0, 1)]
 
 
-def test_inexact_strided_division_is_an_invariant_violation():
-    # With g = 2, F(u) = (1 - u) / (1 - u^2) would be a power series.
-    with pytest.raises(InvariantViolation):
-        _strided_coefficients((1, (1, 2), (4,)), 2)
-    assert _strided_coefficients((1, (1, 4), (2,)), 2) == [1, 1]
-    # 1 - u^2 takes the factor 1 - u^6, so 1 - u^3 is taken out last:
-    # (1 - u^6)(1 - u) / ((1 - u^2)(1 - u^3)) = 1 - u + u^2.
-    assert _strided_coefficients((1, (1, 12, 2), (4, 6)), 2) == [1, -1, 1]
-
-
-def test_dense_expansion_is_no_longer_than_the_answer(grid):
-    # When g >= 2, delta expands F over breadth // g + 1 slots, and each
-    # nonzero slot gives two terms.
-    for link in grid:
-        factored = _factored(link)
-        if factored is None:
-            continue
-        _, (m, _), denominator = factored
-        g = gcd(m, *denominator)
-        if g >= 2:
-            poly = delta(link)
-            assert len(poly.terms) >= poly.breadth // g + 1, link
-
-
 def test_sparse_expansion_memory_follows_the_terms():
     # T(1500,1501) has 2,999 terms over a breadth of 2,248,500: a dense
     # list over its breadth would need more than 18 MB.
@@ -228,12 +203,33 @@ def test_sparse_expansion_memory_follows_the_terms():
     assert peak < 4_000_000
 
 
+def test_expansion_is_linear_in_the_copies():
+    # 6,001 copies of 1 - t^6: a term-by-term product of the copies takes
+    # time quadratic in their number.
+    link = ZeroCore(2, 3, 6001, 1)
+    start = time.process_time()
+    poly = delta(link)
+    terms = poly.terms
+    assert time.process_time() - start < 2
+    assert len(terms) == 18003
+    assert sum(c for _, c in terms) == 0
+    assert abs(sum(c * (-1) ** e for e, c in terms)) == determinant(link)
+    assert terms[-1][0] - terms[0][0] == poly.breadth
+
+
 def test_delta_matches_reference_on_large_links():
     links = [ZeroCore(40, 43, k, k) for k in (1, 2, 3)] + [
         OneCore(13, 7, 9, 3, 1),
         OneCore(11, 5, 7, 5, -1),
         TwoCore(7, 9, 9, 1, 1, -1),
         TwoCore(5, 8, 6, 2, -1, -1),
+        # m = 1: the numerator is a binomial expansion of (1 - t)^(k + 1).
+        HopfSum(9, 4),
+        ZeroCore(3, 5, 2, 0),
+        # Many copies of 1 - t^m.
+        ZeroCore(2, 3, 301, 1),
+        OneCore(2, 5, 40, 2, -1),
+        TwoCore(3, 4, 25, 3, 1, -1),
     ]
     for link in links:
         assert delta(link).terms == reference_delta(link).terms, link
