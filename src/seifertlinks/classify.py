@@ -12,7 +12,7 @@ from typing import Optional, Union
 from ._record import Record
 from .alexander import _factored, _factored_genus
 from .errors import InvalidParameters, NotPrime
-from .link_model import HopfSum, OneCore, SeifertLink, ZeroCore, normalize
+from .link_model import HopfSum, OneCore, SeifertLink, ZeroCore, _of_shape, normalize
 
 __all__ = [
     "DynkinType",
@@ -67,6 +67,15 @@ class StrictlyLessThanGenus(Record):
 FourGenus = Union[Known, StrictlyLessThanGenus]
 
 
+# The ADE links whose view fits no family of `is_ade` or `ade_link`.
+_EXCEPTIONAL_ADE = {
+    (1, 1, 3, 3, 0, 0): DynkinType("D", 4),
+    (3, 4, 1, 1, 0, 0): DynkinType("E", 6),
+    (3, 2, 1, 1, 1, 0): DynkinType("E", 7),
+    (3, 5, 1, 1, 0, 0): DynkinType("E", 8),
+}
+
+
 def ade_link(dynkin: DynkinType) -> SeifertLink:
     """The canonical link bounding the definite plumbing of this type."""
     m = dynkin.index
@@ -76,26 +85,12 @@ def ade_link(dynkin: DynkinType) -> SeifertLink:
         if m % 2 == 0:
             return ZeroCore(2, m + 1, 1, 1)
         return ZeroCore(1, (m + 1) // 2, 2, 2)
-    if dynkin.family == "D":
-        if m == 4:
-            return ZeroCore(1, 1, 3, 3)
+    if dynkin.family == "D" and m > 4:
         if m % 2 == 1:
             return OneCore(2, m - 2, 1, 1, 1)
         return OneCore(1, (m - 2) // 2, 2, 2, 1)
-    return {
-        6: ZeroCore(3, 4, 1, 1),
-        7: OneCore(3, 2, 1, 1, 1),
-        8: ZeroCore(3, 5, 1, 1),
-    }[m]
-
-
-# The ADE links whose view fits no family of `is_ade`.
-_EXCEPTIONAL_ADE = {
-    (1, 1, 3, 3, 0, 0): DynkinType("D", 4),
-    (3, 4, 1, 1, 0, 0): DynkinType("E", 6),
-    (3, 2, 1, 1, 1, 0): DynkinType("E", 7),
-    (3, 5, 1, 1, 0, 0): DynkinType("E", 8),
-}
+    view = next(view for view, found in _EXCEPTIONAL_ADE.items() if found == dynkin)
+    return _of_shape(*view)
 
 
 def is_ade(link: SeifertLink) -> Optional[DynkinType]:

@@ -42,11 +42,9 @@ from .errors import InvalidParameters, LinkInputError, LinkSyntaxError
 from .laurent import LaurentPoly
 from .link_model import (
     HopfSum,
-    OneCore,
     SeifertLink,
-    TwoCore,
-    ZeroCore,
     _alias_to_raw_link,
+    _of_shape,
     alias,
     components,
     normalize,
@@ -145,11 +143,9 @@ def _parse_core(scanner: _Scanner) -> SeifertLink:
             break
     scanner.expect(")")
     scanner.end()
-    if not signs:
-        return ZeroCore(p, q, k, w)
-    if len(signs) == 1:
-        return OneCore(p, q, k, w, signs[0])
-    return TwoCore(p, q, k, w, signs[0], signs[1])
+    # A missing sign is a core that is not a component.
+    e1, e2 = (signs + [0, 0])[:2]
+    return _of_shape(p, q, k, w, e1, e2)
 
 
 def _parse_hopf(scanner: _Scanner) -> SeifertLink:
@@ -193,14 +189,22 @@ def parse_link(text: str) -> SeifertLink:
 # Each command builds one `Row` list (see `_record`).
 
 
+# Each verdict and four-genus evidence class: its JSON `kind`, and the
+# format of its text cell, applied to the value.
 _KINDS = {
-    Known: "known",
-    StrictlyLessThanGenus: "strictly_less_than_genus",
-    FinitePi1: "finite_pi1",
-    NoCTF_SeifertObstruction: "no_ctf_seifert_obstruction",
-    PositiveBetti: "positive_betti",
-    PSL2R_Rep: "psl2r_rep",
-    Catalog: "catalog",
+    Known: ("known", "{0.value}"),
+    StrictlyLessThanGenus: ("strictly_less_than_genus", "strictly less than the genus"),
+    FinitePi1: ("finite_pi1", "finite fundamental group {0.group.label}"),
+    NoCTF_SeifertObstruction: (
+        "no_ctf_seifert_obstruction",
+        "no co-oriented taut foliation; Seifert invariants {0.invariants}",
+    ),
+    PositiveBetti: ("positive_betti", "positive first Betti number at level {0.n}"),
+    PSL2R_Rep: (
+        "psl2r_rep",
+        "PSL(2,R) representation witness (sigma = {0.data.sigma}, r = {0.data.r})",
+    ),
+    Catalog: ("catalog", "{0.note}"),
 }
 
 
@@ -229,7 +233,7 @@ def _encode(value: Any) -> Any:
         return str(value)
     fields = {name: getattr(value, name) for name in value._fields}
     kind = _KINDS.get(type(value))
-    return fields if kind is None else {"kind": kind, **fields}
+    return fields if kind is None else {"kind": kind[0], **fields}
 
 
 def _text(value: Any) -> str:
@@ -240,29 +244,10 @@ def _text(value: Any) -> str:
         return "yes" if value else "no"
     if isinstance(value, SeifertLink):
         return render(value)
-    if isinstance(value, Known):
-        return str(value.value)
-    if isinstance(value, StrictlyLessThanGenus):
-        return "strictly less than the genus"
     if isinstance(value, FiniteGroupTag):
         return value.label
-    if isinstance(value, FinitePi1):
-        return f"finite fundamental group {value.group.label}"
-    if isinstance(value, NoCTF_SeifertObstruction):
-        return (
-            "no co-oriented taut foliation; Seifert invariants "
-            f"{value.invariants}"
-        )
-    if isinstance(value, PositiveBetti):
-        return f"positive first Betti number at level {value.n}"
-    if isinstance(value, PSL2R_Rep):
-        return (
-            f"PSL(2,R) representation witness (sigma = {value.data.sigma}, "
-            f"r = {value.data.r})"
-        )
-    if isinstance(value, Catalog):
-        return value.note
-    return str(value)
+    kind = _KINDS.get(type(value))
+    return str(value) if kind is None else kind[1].format(value)
 
 
 def _json_object(record: list[Row]) -> dict[str, Any]:

@@ -271,26 +271,19 @@ def is_canonical(link: SeifertLink) -> bool:
 # -- rendering ----------------------------------------------------------------
 
 
-def _sign_char(sign: int) -> str:
-    return "+" if sign > 0 else "-"
-
-
 def render(link: SeifertLink) -> str:
-    """The notation string that parses back to `link`."""
+    """The notation string that parses back to a valid `link`: a core
+    link is written off its `_shape`, a sign after `;` for the core at q
+    and after `,` for the core at p."""
     if isinstance(link, HopfSum):
         if link.minus == 0:
             return f"#{link.plus} H+"
         return f"#{link.plus} H+ # {link.minus} H-"
-    if isinstance(link, ZeroCore):
-        return f"L({link.p},{link.q};{link.k},{link.w})"
-    if isinstance(link, OneCore):
-        return (
-            f"L({link.p},{link.q};{link.k},{link.w};{_sign_char(link.sign)})"
-        )
-    return (
-        f"L({link.p},{link.q};{link.k},{link.w};"
-        f"{_sign_char(link.sign1)},{_sign_char(link.sign2)})"
+    p, q, k, w, e1, e2 = _shape(link)
+    cores = "".join(
+        mark + ("+" if e > 0 else "-") for mark, e in ((";", e1), (",", e2)) if e
     )
+    return f"L({p},{q};{k},{w}{cores})"
 
 
 # -- aliases ------------------------------------------------------------------

@@ -10,19 +10,22 @@ link without checking it again.  The test suite compares the tables
 against independently frozen expectations, and checks on the canonical
 grid that the spherical and Euclidean tables list every family there is.
 
-Three tables are computed from the simply laced (ADE) links:
+Four tables are computed from the simply laced (ADE) links and from chi:
 `ade-2fold` and `higher-finite` read the link of each type of index at
-most 12, and the spherical table reads the positive presentation of each
-ADE family with q at most 6 at every level where its base is spherical.  A family row names its family by that presentation and lists
-the family's reorientations.  Two tables keep hand lists: the Euclidean
-table's (level, family) pairs and the canonical-status candidates.  The
-golden files and the benchmark's recorded answers fix their rows byte for
-byte, row order and the Euclidean name of D4 (`L(1,1;3,w)`, where the
-spherical table says `L(1,1;2,w;e)`) included, so a rule that computes
-them has to reproduce both.
+most 12, the spherical table reads the positive presentation of each ADE
+family with q at most 6 at every level where its base is spherical, and
+the Euclidean table each coreless positive family whose base has chi = 0.
+A family row names its family by that presentation and lists the family's
+reorientations.  Only the canonical-status candidates are a hand list.
+The golden files and the benchmark's recorded answers fix every row byte
+for byte, so the Euclidean table keeps the name `L(1,1;3,w)` of D4, where
+the spherical table says `L(1,1;2,w;e)`.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import product
 
 from ._record import Row
 from .alexander import cyclotomic_divides, determinant
@@ -34,6 +37,7 @@ from .link_model import (
     SeifertLink,
     ZeroCore,
     _reorientations,
+    _shape,
     alias,
     normalize,
 )
@@ -60,17 +64,7 @@ _ADE_FAMILIES = (
     + [ZeroCore(2, q, 1, 1) for q in range(3, _MAX_Q + 1, 2)]
     + [OneCore(1, q, 2, 2, 1) for q in range(1, _MAX_Q + 1)]
     + [OneCore(2, q, 1, 1, 1) for q in range(3, _MAX_Q + 1, 2)]
-    + [ZeroCore(3, 4, 1, 1), OneCore(3, 2, 1, 1, 1), ZeroCore(3, 5, 1, 1)]
-)
-
-# (n, family) of each row of the Euclidean table.
-_EUCLIDEAN_FAMILIES = (
-    (2, ZeroCore(1, 2, 3, 3)),
-    (2, ZeroCore(1, 1, 4, 4)),
-    (3, ZeroCore(1, 3, 2, 2)),
-    (3, ZeroCore(1, 1, 3, 3)),
-    (4, ZeroCore(1, 2, 2, 2)),
-    (6, ZeroCore(2, 3, 1, 1)),
+    + [ade_link(DynkinType("E", m)) for m in (6, 7, 8)]
 )
 
 
@@ -106,9 +100,7 @@ def ade_two_fold_rows() -> Table:
     return tuple(rows)
 
 
-def _family_row(
-    n: int, family: SeifertLink, reoriented: SeifertLink
-) -> list[Row]:
+def _family_row(n: int, family: SeifertLink, reoriented: SeifertLink) -> list[Row]:
     """The columns shared by the spherical and Euclidean tables, read off
     the positive presentation of a family and its normal form: the level,
     the family's name (w stands for every count of copy orientations, e
@@ -116,11 +108,11 @@ def _family_row(
     orbifold and the reoriented link.  The base reads only p, q, k and the
     cores, which every reorientation shares."""
     base = b_bar(reoriented, n)
-    w = "w" if family.k >= 2 else family.w
-    core = ";e" if isinstance(family, OneCore) else ""
+    p, q, k, w, e1, _ = _shape(family)
+    name = f"L({p},{q};{k},{'w' if k >= 2 else w}{';e' if e1 else ''})"
     return [
         Row("n", n, "n"),
-        Row("family", f"L({family.p},{family.q};{family.k},{w}{core})", "family"),
+        Row("family", name, "family"),
         Row("instances", _reorientations(reoriented)),
         Row("base", base.cone_orders, "base", str(base)),
         Row("reoriented", reoriented, "reoriented"),
@@ -147,14 +139,22 @@ def spherical_rows() -> Table:
 
 
 def euclidean_rows() -> Table:
-    """One row per family and level of `_EUCLIDEAN_FAMILIES`, with the
-    cyclotomic Betti-number witness for the reoriented link."""
+    """One row per coreless positive family L(p,q;k,k) and level n whose
+    base is Euclidean, by n, k, q and p, with its Betti-number witness.
+
+    The base has k cone points of order n and ones of orders p and q, and a
+    Euclidean 2-sphere orbifold has at most four, each of order at most 6:
+    so n <= 6, k <= 4 and p <= q <= 6, and chi = 0 reads n(p + q) =
+    k(n - 1)pq.  A core at q adds a cone point of order qn >= 4, found only
+    in S2(2,4,4) and S2(2,3,6), where the other cone points then make p a
+    multiple of q: no base with a core and coprime p, q is Euclidean.
+    """
     rows = []
-    for n, family in _EUCLIDEAN_FAMILIES:
-        reoriented = normalize(family)
-        betti_positive = cyclotomic_divides(n, reoriented)
-        row = _family_row(n, family, reoriented)
-        rows.append(row + [Row("betti_positive", betti_positive, "betti>0")])
+    for n, k, q, p in product(range(2, 7), range(1, 5), range(1, 7), range(1, 7)):
+        if p <= q and math.gcd(p, q) == 1 and n * (p + q) == k * (n - 1) * p * q:
+            link = normalize(ZeroCore(p, q, k, k))  # its own normal form
+            betti = Row("betti_positive", cyclotomic_divides(n, link), "betti>0")
+            rows.append(_family_row(n, link, link) + [betti])
     return tuple(rows)
 
 

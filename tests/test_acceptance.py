@@ -5,6 +5,7 @@ Run with -v to get one pass/fail line per criterion.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -21,8 +22,10 @@ from seifertlinks import (
     Cyclic,
     DynkinType,
     HopfSum,
+    LinkInputError,
     OneCore,
     SeifertInvariants,
+    TwoCore,
     ZeroCore,
     ade_link,
     b_bar,
@@ -238,6 +241,33 @@ def test_family_tables_are_complete_on_the_grid(grid):
             group = groups[row["reoriented"]]
             assert len(row["instances"]) == len(group), row
             assert set(row["instances"]) == group, row
+
+
+def test_euclidean_table_is_every_euclidean_positive_family():
+    # Past the bounds that `euclidean_rows` derives (n <= 6, k <= 4,
+    # p, q <= 6, no core): the positive family of each core shape.
+    positives = set()
+    for p, q, k in product(range(1, 13), range(1, 13), range(1, 9)):
+        if gcd(p, q) != 1:
+            continue
+        shapes = ZeroCore(p, q, k, k), OneCore(p, q, k, k, 1), TwoCore(p, q, k, k, 1, 1)
+        for raw in shapes:
+            try:
+                positives.add(normalize(raw))
+            except LinkInputError:  # the unknot, or a core at a 1
+                pass
+    expected = {
+        (n, link)
+        for link in positives
+        for n in range(2, 25)
+        if b_bar(link, n).geometry == "euclidean"
+    }
+    rows = [
+        {row.key: row.value for row in columns}
+        for columns in tables.euclidean_rows()
+    ]
+    assert len(rows) == len(expected)
+    assert {(row["n"], row["reoriented"]) for row in rows} == expected
 
 
 def test_criterion_05_star_status_grid(grid):

@@ -190,6 +190,12 @@ def test_inexact_division_is_an_invariant_violation():
     assert _divide_by_one_minus_power(one_minus_t, 1) == [(0, 1)]
 
 
+def test_odd_genus_spread_is_an_invariant_violation():
+    # (1 - t)(1 - t^2) has 2g = 1: no Delta of the class is factored so.
+    with pytest.raises(InvariantViolation, match="odd genus spread"):
+        alexander._factored_genus((1, (2, 1), ()))
+
+
 def test_sparse_expansion_memory_follows_the_terms():
     # T(1500,1501) has 2,999 terms over a breadth of 2,248,500: a dense
     # list over its breadth would need more than 18 MB.

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import seifertlinks
+from conftest import raw_core_links
 from seifertlinks import (
     HopfSum,
+    InvariantViolation,
     LinkSyntaxError,
     NotInCatalog,
     OneCore,
@@ -72,7 +74,9 @@ def test_parse_link_notation(text, link):
 
 
 def test_parse_round_trips_renders(grid):
-    for link in grid:
+    # Canonical links and every raw presentation of the box, canonical or
+    # not: `render` writes any valid link, and the parser reads it back.
+    for link in [*grid, *raw_core_links(7, 6)]:
         assert parse_link(render(link)) == link
 
 
@@ -449,6 +453,8 @@ def test_broken_invariant_exits_3(capsys, monkeypatch):
     import seifertlinks.tables as tables
 
     monkeypatch.setattr(tables, "finite_group", lambda link, n: None)
+    with pytest.raises(InvariantViolation, match="infinite group"):
+        tables.ade_two_fold_rows()
     assert main(["table", "ade-2fold"]) == 3
     assert capsys.readouterr().err.startswith("internal error: infinite group")
 
@@ -460,6 +466,17 @@ def test_infinite_ade_double_cover_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cover, "finite_group", lambda link, n: None)
     assert main(["cover", "T(2,3)", "--n", "2"]) == 3
     assert capsys.readouterr().err.startswith("internal error: infinite group")
+
+
+def test_non_ade_spherical_double_cover_exits_3(capsys, monkeypatch):
+    # The guard of `finite_group` fails below the verdict's own check.
+    import seifertlinks.orbifold as orbifold
+
+    monkeypatch.setattr(orbifold, "is_ade", lambda link: None)
+    assert main(["cover", "T(2,3)", "--n", "2"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "internal error: spherical double cover of non-ADE"
+    )
 
 
 def test_closed_stdout_exits_1_without_a_message():

@@ -8,10 +8,12 @@ shows here; re-capture a file only when an output change is intended.
 The `demo-<name>.out` files hold the standard output of each script in
 `demos/`, run in process.
 
-Two wider checks read files kept elsewhere in the repository: every
+Three wider checks read files kept elsewhere in the repository: every
 argument vector recorded in the benchmark's CLI references is replayed
-for its exit code and output digest, and the README's library example
-must print what its comments say.
+for its exit code and output digest, every README transcript of a
+`$ seifertlinks` command must print what it shows (and a block of bare
+commands must exit 0), and the README's library example must print what
+its comments say.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import gzip
 import hashlib
 import io
 import json
+import re
 import runpy
+import shlex
 from pathlib import Path
 
 from seifertlinks.cli import main
@@ -72,6 +76,25 @@ def test_cli_replays_every_recorded_benchmark_answer():
             mismatched.append(key)
     assert len(refs) >= 4000
     assert not mismatched, mismatched[:10]
+
+
+def test_readme_cli_transcripts_match(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(\$ seifertlinks .*?)^```$", readme, re.M | re.S)
+    mismatched, transcripts = [], 0
+    for block in blocks:
+        commands = [line for line in block.splitlines() if line.startswith("$ ")]
+        shown = "".join(
+            line + "\n" for line in block.splitlines() if not line.startswith("$ ")
+        )
+        for command in commands:
+            code = main(shlex.split(command)[2:])
+            out = capsys.readouterr().out
+            if code != 0 or (shown and (len(commands) != 1 or out != shown)):
+                mismatched.append(command)
+        transcripts += bool(shown)
+    assert len(blocks) == 4 and transcripts == 3
+    assert not mismatched, mismatched
 
 
 def test_readme_library_example_prints_its_comments():

@@ -3,7 +3,9 @@ entry that names nothing, no private function that nothing calls, no
 public name with a private twin, no `assert`, no `dataclasses`, no
 unbounded memo, no code outside `link_model.normalize` that sets the
 canonical flag or the Seifert view, no shape branch in the functions
-that read that view, and no `Fraction` call in the functions that decide
+that read that view, no `isinstance` test of a core class outside
+`link_model._shape` and `_validate` and no core class named in `cli`,
+and no `Fraction` call in the functions that decide
 a cover verdict.  The oracles and the expanded reference in `tests/`
 take no arithmetic from the package they check.
 
@@ -360,6 +362,42 @@ def test_view_readers_name_no_core_shape():
                 )
     assert sorted(found) == sorted(_VIEW_READERS)
     assert not any(found.values()), {key: names for key, names in found.items() if names}
+
+
+_CORE_CLASSES = {"ZeroCore", "OneCore", "TwoCore"}
+
+
+def _core_class_tests(tree: ast.AST) -> list[int]:
+    """Lines of the `isinstance` calls that name a core class."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and _CORE_CLASSES & _used_names(node.args[-1])
+    ]
+
+
+def test_only_shape_and_validate_test_the_core_class():
+    # The other functions read the view of `_shape` or build a link with
+    # `_of_shape`, so a core shape is told from its class in two places,
+    # and the CLI names no core class at all.
+    allowed = set()
+    for node in ast.walk(_tree(PACKAGE / "link_model.py")):
+        if isinstance(node, ast.FunctionDef) and node.name in ("_shape", "_validate"):
+            allowed |= {("link_model.py", line) for line in _core_class_tests(node)}
+    assert allowed, "_shape and _validate no longer test the core class"
+    stray = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _core_class_tests(_tree(path))
+        if (path.name, line) not in allowed
+    ]
+    assert not stray, "core class tested elsewhere: " + ", ".join(stray)
+    cli = _tree(PACKAGE / "cli.py")
+    named = _used_names(cli) | {name for name, _ in _imported_names(cli)}
+    assert not named & _CORE_CLASSES, sorted(named & _CORE_CLASSES)
 
 
 # The functions that decide the cover verdicts and return the rotation

@@ -19,6 +19,7 @@ from seifertlinks import (
     FiniteUnidentified,
     HopfSum,
     InvalidParameters,
+    InvariantViolation,
     NotPrime,
     OneCore,
     PositiveBetti,
@@ -224,6 +225,18 @@ def test_two_fold_groups_of_simply_laced_links():
     assert finite_group(ZeroCore(3, 4, 1, 1), 2) == BinaryTetrahedral()
     assert finite_group(OneCore(3, 2, 1, 1, 1), 2) == BinaryOctahedral()
     assert finite_group(ZeroCore(3, 5, 1, 1), 2) == BinaryIcosahedral()
+
+
+def test_spherical_double_cover_of_a_non_ade_link_is_a_broken_invariant(
+    monkeypatch,
+):
+    # A spherical double-cover base makes the positive reorientation ADE;
+    # a type missing there is a fault, not a rejected input.
+    import seifertlinks.orbifold as orbifold
+
+    monkeypatch.setattr(orbifold, "is_ade", lambda link: None)
+    with pytest.raises(InvariantViolation, match="non-ADE"):
+        finite_group(ZeroCore(2, 3, 1, 1), 2)
 
 
 def test_two_fold_groups_cover_reversed_orientations():
